@@ -8,19 +8,11 @@ spectrum clustering, normalized measure) and prints one JSON document.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from pfdim.counting import CardinalitySequence
+from pfdim.counting import count_family
 from pfdim.dimension import chain_detect, delta_compare, fmv_spectrum
-from pfdim.families import family_count, get_family
+from pfdim.families import get_family
 from pfdim.measure import mu_D_sequence
-
-
-def sequence(fam, formula, selector, indices):
-    return CardinalitySequence(
-        fam.family_id, formula, selector,
-        tuple((n, family_count(fam, formula, n, selector=selector))
-              for n in indices))
 
 
 def main(argv=None):
@@ -37,8 +29,9 @@ def main(argv=None):
     fam = get_family("stablenonattainability")
     out["classRankComparisons"] = []
     for t in (1, 2):
-        X = sequence(fam, "E(x, y)", f"class-rank-{t}", indices)
-        Y = sequence(fam, "E(x, y)", f"class-rank-{t + 1}", indices)
+        X = count_family("E(x, y)", fam, indices, selector=f"class-rank-{t}")
+        Y = count_family("E(x, y)", fam, indices,
+                         selector=f"class-rank-{t + 1}")
         v = delta_compare(X, Y)
         out["classRankComparisons"].append(
             {"t": t, "classification": v.classification})

@@ -14,14 +14,17 @@ WORDS = ["x*x", "x*x*x", "[x,y]"]
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--groups", default=",".join(GROUPS))
+    ap.add_argument("--groups", action="append",
+                    help="built-in group name, repeatable "
+                         "(default: C6, S3, A4, S4, A5, PSL(2,7))")
     ap.add_argument("--word", action="append",
                     help="group word, repeatable (default: x*x, x*x*x, [x,y])")
     args = ap.parse_args(argv)
+    names = args.groups or GROUPS
     words = args.word or WORDS
 
     rows = []
-    for name in args.groups.split(","):
+    for name in names:
         G = builtin_group(name.strip())
         for text in words:
             w = parse_word(text.strip())

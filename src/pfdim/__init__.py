@@ -7,7 +7,7 @@ from .logic import (App, And, Const, Eq, Exists, FiniteStructure, Forall,
                     Formula, Implies, Not, Or, PfdimError, Rel, SchemaError,
                     Signature, SignatureError, SortError, StructureError,
                     Var, free_variables, load_structure, make_signature,
-                    sort_check, structure_from_json_dict)
+                    rename_free, sort_check, structure_from_json_dict)
 from .parser import ParseDiagnostic, parse_formula, render_formula
 from .counting import (AssignmentError, BudgetExceeded, CardinalitySequence,
                        Count, count, count_family, evaluate, get_budget)

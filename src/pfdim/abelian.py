@@ -19,6 +19,7 @@ from itertools import combinations, product
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .counting import Count
+from .gf import is_prime
 from .logic import PfdimError
 
 NEGATION_CAP = 12
@@ -184,7 +185,11 @@ def _solve_positive(atoms: Sequence[StandardAtom],
 
 
 def _check_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, min(p, 200))):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise AbelianError(f"p={p}: {exc}") from None
+    if not prime:
         raise AbelianError(f"p={p} is not prime")
 
 

@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from fractions import Fraction
 from typing import List, Optional
 
 from . import abelian, dimension, families, groups, measure, vspace
-from .counting import count as engine_count
+from .counting import count as engine_count, count_family
 from .families import get_family
 from .logic import PfdimError, load_structure
 from .parser import ParseDiagnostic, parse_formula
@@ -39,10 +37,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise PfdimError(f"bad rational {text!r}")
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -59,7 +53,7 @@ def _cmd_count(args) -> int:
             fixed[name.strip()] = int(val)
     counted = args.count_vars.split(",") if args.count_vars else []
     result = engine_count(phi, M, fixed, [v.strip() for v in counted],
-                          workers=args.workers, budget=args.budget)
+                          budget=args.budget)
     _emit({"count": str(result.value)})
     return 0
 
@@ -69,7 +63,6 @@ def _cmd_family(args) -> int:
     if args.formula:
         result = families.family_count(family, args.formula, args.index,
                                        selector=args.selector,
-                                       workers=args.workers,
                                        budget=args.budget)
         _emit({"familyId": args.name, "index": args.index,
                "formula": args.formula, "selector": args.selector,
@@ -85,22 +78,13 @@ def _cmd_family(args) -> int:
     return 0
 
 
-def _sequence(family, formula, selector, indices, workers, budget):
-    from .counting import CardinalitySequence
-    points = tuple(
-        (n, families.family_count(family, formula, n, selector=selector,
-                                  workers=workers, budget=budget))
-        for n in indices)
-    return CardinalitySequence(family.family_id, formula, selector, points)
-
-
 def _cmd_dim_compare(args) -> int:
     family = get_family(args.family)
     indices = _parse_indices(args.indices)
-    X = _sequence(family, args.formula_x, args.selector_x, indices,
-                  args.workers, args.budget)
-    Y = _sequence(family, args.formula_y, args.selector_y, indices,
-                  args.workers, args.budget)
+    X = count_family(args.formula_x, family, indices,
+                     selector=args.selector_x, budget=args.budget)
+    Y = count_family(args.formula_y, family, indices,
+                     selector=args.selector_y, budget=args.budget)
     verdict = dimension.delta_compare(X, Y, tau=args.tau)
     _emit(verdict.to_json_dict())
     return 0
@@ -261,22 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pfdim",
         description="Exact counting of definable sets in finite structures")
-    top.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized harnesses")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, workers=True):
-        if workers:
-            p.add_argument("--workers", type=int, default=_default_workers())
-        p.add_argument("--budget", type=int, default=None,
-                       help="assignment-visit budget (default PFDIM_BUDGET)")
+    budget_help = "assignment-visit budget (default PFDIM_BUDGET)"
 
     p = sub.add_parser("count", help="count satisfying assignments")
     p.add_argument("--structure", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--fix", action="append", help="var=elementId[,var=id...]")
     p.add_argument("--count-vars", required=True)
-    common(p)
+    p.add_argument("--budget", type=int, default=None, help=budget_help)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("family", help="generate or count along a family")
@@ -285,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--formula")
     p.add_argument("--selector")
-    common(p)
+    p.add_argument("--budget", type=int, default=None, help=budget_help)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("dim-compare", help="compare growth of two count sequences")
@@ -296,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selector-y")
     p.add_argument("--indices", required=True)
     p.add_argument("--tau", type=float, default=dimension.TAU_DEFAULT)
-    common(p)
+    p.add_argument("--budget", type=int, default=None, help=budget_help)
     p.set_defaults(func=_cmd_dim_compare)
 
     p = sub.add_parser("chain", help="detect strictly dropping chains")
@@ -305,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="formula[@selector], repeatable")
     p.add_argument("--indices", required=True)
     p.add_argument("--tau", type=float, default=dimension.TAU_DEFAULT)
-    common(p, workers=False)
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("spectrum", help="per-parameter log-count spectrum")
@@ -314,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indices", required=True)
     p.add_argument("--gamma", type=float, default=dimension.GAMMA_DEFAULT)
     p.add_argument("--csv", help="write (index, series, logCount) rows here")
-    common(p, workers=False)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("abelian-count",
@@ -367,8 +343,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the input-error code
         return 0 if exc.code in (0, None) else 1
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except ParseDiagnostic as diag:

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counting import CardinalitySequence, Count
 from .families import (FamilyHandle, aggregate_count, family_selector,
                        family_signature, spectrum_logcounts)
-from .logic import And, Eq, Exists, Forall, Formula, Not, Or, Implies, PfdimError, Rel, Var
+from .logic import And, PfdimError, rename_free
 from .parser import parse_formula
 
 TAU_DEFAULT = math.log(100.0)
@@ -113,34 +113,6 @@ def _classify(ratios: List[float], i0: int, tau: float) -> str:
 # chains of instances with strictly dropping size
 
 
-def _rename_free(phi: Formula, old: str, new: str) -> Formula:
-    """Rename a free variable, stopping at binders that capture it."""
-    def go(f):
-        if isinstance(f, Rel):
-            return Rel(f.name, tuple(_rename_term(t, old, new) for t in f.args))
-        if isinstance(f, Eq):
-            return Eq(_rename_term(f.left, old, new),
-                      _rename_term(f.right, old, new))
-        if isinstance(f, Not):
-            return Not(go(f.body))
-        if isinstance(f, (And, Or, Implies)):
-            return type(f)(go(f.left), go(f.right))
-        if isinstance(f, (Exists, Forall)):
-            if f.var == old:
-                return f
-            return type(f)(f.var, f.sort, go(f.body))
-        raise DimensionError(f"unexpected node {type(f).__name__}")
-    return go(phi)
-
-
-def _rename_term(t, old, new):
-    if isinstance(t, Var):
-        return Var(new, t.sort) if t.name == old else t
-    if hasattr(t, "args"):  # function application
-        return type(t)(t.name, tuple(_rename_term(a, old, new) for a in t.args))
-    return t
-
-
 @dataclass(frozen=True)
 class ChainReport:
     steps: Tuple[Tuple[str, Optional[str]], ...]  # (formula, selector)
@@ -169,7 +141,7 @@ def _chain_prefix_count(family: FamilyHandle, steps, index: int,
         phi = parse_formula(text, sig)
         if selector is not None:
             fresh = f"y{j + 1}"
-            phi = _rename_free(phi, "y", fresh)
+            phi = rename_free(phi, "y", fresh)
             params[fresh] = family_selector(family, selector, index)["y"]
         conj = phi if conj is None else And(conj, phi)
     result = aggregate_count(family, conj, index, params)

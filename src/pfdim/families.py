@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import gf
 from .counting import Count, count as engine_count
-from .logic import (And, App, Const, Eq, Exists, Forall, FiniteStructure,
-                    Implies, Not, Or, PfdimError, Rel, Signature, Var,
-                    free_variables, make_signature)
+from .logic import (And, Eq, FiniteStructure, Implies, Not, Or, PfdimError,
+                    Rel, Signature, Var, free_variables, make_signature)
 from .parser import parse_formula
 
 MAX_UNIVERSE = 200_000
@@ -377,7 +376,7 @@ def aggregate_count(family: FamilyHandle, phi, index: int,
 
 
 def family_count(family: FamilyHandle, phi_text: str, index: int,
-                 selector: Optional[str] = None, workers: int = 1,
+                 selector: Optional[str] = None,
                  budget: Optional[int] = None) -> Count:
     """Exact |phi(M_index, a)| with parameters chosen by the named selector.
 
@@ -394,7 +393,7 @@ def family_count(family: FamilyHandle, phi_text: str, index: int,
     M = generate(family.family_id, index)
     fixed = {k: v.global_id for k, v in params.items()}
     counted = [n for n, _ in free_variables(phi) if n not in fixed]
-    return engine_count(phi, M, fixed, counted, workers=workers, budget=budget)
+    return engine_count(phi, M, fixed, counted, budget=budget)
 
 
 def spectrum_logcounts(family: FamilyHandle, phi_text: str, index: int) -> List[float]:
@@ -498,7 +497,11 @@ HOMOCYCLIC_ORDER_LIMIT = 1024
 def make_homocyclic(p: int, n: int, m: int) -> FiniteStructure:
     """The group (Z/p^nZ)^m with add/neg tables; element ids encode m-tuples
     of residues mod p^n in base p^n."""
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    try:
+        prime = gf.is_prime(p)
+    except ValueError as exc:
+        raise FamilyError(f"p={p}: {exc}") from None
+    if not prime:
         raise FamilyError(f"p={p} is not prime")
     if n < 1 or m < 1:
         raise FamilyError("n and m must be >= 1")

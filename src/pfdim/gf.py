@@ -56,6 +56,39 @@ def _from_digits(d: Sequence[int], p: int) -> int:
     return x
 
 
+# The first 13 primes.  Sorenson and Webster (2015): the least composite that
+# is a strong probable prime to all of them is PRIME_LIMIT.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality of ``n`` < PRIME_LIMIT (about 3.3e24) by deterministic
+    Miller-Rabin; raises ValueError for larger ``n``."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIME_LIMIT}")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def make_field(q: int) -> GF:
     if q not in SUPPORTED_Q:
         raise PfdimError(f"q={q} is not a supported prime power")

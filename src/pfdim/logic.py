@@ -3,13 +3,13 @@
 Elements of a structure are dense integer ids ``0..size-1`` per sort; any
 semantic labels (field elements, group tuples) live in an optional display
 table.  Signatures and structures are immutable after construction so they
-can be shared freely across worker threads.
+can be shared freely.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -197,6 +197,37 @@ def free_variables(phi: Formula) -> list:
     return out
 
 
+def rename_free(phi: Formula, old: str, new: str) -> Formula:
+    """Rename the free occurrences of variable ``old`` to ``new``.
+
+    The rename stops at any binder of ``old``.  It does not guard against
+    capture of ``new`` by a binder, so pick a fresh name.
+    """
+    def term(t):
+        if isinstance(t, Var):
+            return Var(new, t.sort) if t.name == old else t
+        if isinstance(t, App):
+            return App(t.func, tuple(term(a) for a in t.args))
+        return t
+
+    def walk(f):
+        if isinstance(f, Rel):
+            return Rel(f.name, tuple(term(a) for a in f.args))
+        if isinstance(f, Eq):
+            return Eq(term(f.left), term(f.right))
+        if isinstance(f, Not):
+            return Not(walk(f.body))
+        if isinstance(f, _BINARY):
+            return type(f)(walk(f.left), walk(f.right))
+        if isinstance(f, _QUANT):
+            if f.var == old:
+                return f
+            return type(f)(f.var, f.sort, walk(f.body))
+        raise TypeError(f"not a formula node: {f!r}")
+
+    return walk(phi)
+
+
 def sort_check(phi: Formula, sig: Signature) -> Formula:
     """Check ``phi`` against ``sig`` and return a fully sort-annotated copy.
 
@@ -257,21 +288,18 @@ def sort_check(phi: Formula, sig: Signature) -> Formula:
             return Rel(f.name, tuple(term(a, s, bound)[0]
                                      for a, s in zip(f.args, arg_sorts)))
         if isinstance(f, Eq):
-            # infer a common sort: try left first, then right
-            try:
-                left, s = term(f.left, None, bound)
-            except SortError:
-                raise
+            # infer a common sort: try left first, then right, then annotate
+            # both sides with it
+            _, s = term(f.left, None, bound)
             if s is None:
-                right, s = term(f.right, None, bound)
+                _, s = term(f.right, None, bound)
                 if s is None and len(sig.sorts) == 1:
                     s = sig.sorts[0]
                 if s is None:
                     raise SortError("sort-mismatch", f,
                                     "cannot infer sort of equality")
-                left, _ = term(f.left, s, bound)
-            else:
-                right, _ = term(f.right, s, bound)
+            left, _ = term(f.left, s, bound)
+            right, _ = term(f.right, s, bound)
             return Eq(left, right)
         if isinstance(f, Not):
             return Not(walk(f.body, bound))

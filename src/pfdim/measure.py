@@ -19,11 +19,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .counting import Count
-from .dimension import _rename_free
 from .families import (FamilyHandle, aggregate_count, family_selector,
                        family_signature)
-from .logic import And, PfdimError
+from .logic import And, PfdimError, rename_free
 from .parser import parse_formula
 
 K_CAP = 5
@@ -105,10 +103,10 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
         phi_x = parse_formula(x_formula, sig)
         params: Dict[str, object] = {}
         if d_selector is not None:
-            phi_d = _rename_free(phi_d, "y", "yd")
+            phi_d = rename_free(phi_d, "y", "yd")
             params["yd"] = family_selector(family, d_selector, n)["y"]
         if x_selector is not None:
-            phi_x = _rename_free(phi_x, "y", "yx")
+            phi_x = rename_free(phi_x, "y", "yx")
             params["yx"] = family_selector(family, x_selector, n)["y"]
         cd = aggregate_count(family, phi_d, n, params)
         cxd = aggregate_count(family, And(phi_x, phi_d), n, params)

@@ -169,3 +169,20 @@ class TestConjunctionParser:
             parse_standard_conjunction("x1 + 3 = 0", r=1, s=0)
         with pytest.raises(AbelianError):
             parse_standard_conjunction("2*x9 = 0", r=1, s=0)
+
+
+class TestPrimeCheck:
+    @pytest.mark.parametrize("p", [47053, 1600880117])
+    def test_composites_rejected(self, p):
+        with pytest.raises(AbelianError, match="not prime"):
+            exact_count([atom_eq([1], [])], [], p, 1, 1)
+        with pytest.raises(AbelianError, match="not prime"):
+            symbolic_count([atom_eq([1], [])], 1, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 211])
+    def test_small_primes_accepted(self, p):
+        assert exact_count([atom_eq([1], [])], [], p, 2, 1).value == 1
+
+    def test_beyond_the_limit_rejected(self):
+        with pytest.raises(AbelianError, match="decided only below"):
+            exact_count([atom_eq([1], [])], [], 10 ** 25, 1, 1)

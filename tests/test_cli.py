@@ -171,3 +171,55 @@ class TestArgHandling:
 
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+class TestUnseenEquality:
+    def test_count_matches_brute_force(self, capsys, structure_file):
+        from pfdim.counting import evaluate
+        from pfdim.logic import load_structure
+        from pfdim.parser import parse_formula
+
+        text = "x = y | E(x, y)"
+        code, out, err = run(capsys, "count", "--structure", structure_file,
+                             "--formula", text, "--count-vars", "x,y")
+        assert code == 0, err
+        M = load_structure(structure_file)
+        phi = parse_formula(text, M.signature)
+        expected = sum(evaluate(phi, M, {"x": a, "y": b})
+                       for a in range(5) for b in range(5))
+        assert json.loads(out)["count"] == str(expected) == "10"
+
+
+class TestRemovedOptions:
+    SUBCOMMANDS = ("count", "family", "dim-compare", "chain", "spectrum",
+                   "abelian-count", "vs-count", "measure-kcap",
+                   "pairwise-check", "word-image")
+
+    def test_help_lists_no_removed_option(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--seed" not in capsys.readouterr().out
+        for cmd in self.SUBCOMMANDS:
+            assert main([cmd, "--help"]) == 0
+            text = capsys.readouterr().out
+            assert "--workers" not in text
+            if cmd in ("chain", "spectrum"):
+                assert "--budget" not in text
+
+    def test_removed_options_exit_one(self, capsys, structure_file):
+        assert main(["--seed", "1", "count", "--structure", structure_file,
+                     "--formula", "E(x, y)", "--count-vars", "x,y"]) == 1
+        assert main(["count", "--structure", structure_file, "--formula",
+                     "E(x, y)", "--count-vars", "x,y", "--workers", "2"]) == 1
+
+
+class TestDimCompareIndices:
+    def test_unsorted_duplicate_indices_match_sorted(self, capsys):
+        args = ["dim-compare", "--family", "stablenonattainability",
+                "--formula-x", "E(x, y)", "--selector-x", "class-rank-1",
+                "--formula-y", "E(x, y)", "--selector-y", "class-rank-2"]
+        code, sorted_out, _ = run(capsys, *args, "--indices", "8,16,32,64")
+        assert code == 0
+        code, shuffled_out, _ = run(capsys, *args,
+                                    "--indices", "32,8,64,16,8")
+        assert code == 0
+        assert shuffled_out == sorted_out

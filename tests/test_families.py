@@ -157,3 +157,18 @@ class TestAlgebraicStructures:
         M = make_vector_space(2, 3)
         assert M.sizes["K"] == 2
         assert M.sizes["V"] == 8
+
+
+class TestHomocyclicPrimeCheck:
+    @pytest.mark.parametrize("p", [1, 4, 47053, 1600880117])
+    def test_composites_rejected(self, p):
+        with pytest.raises(FamilyError, match="not prime"):
+            make_homocyclic(p, 1, 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 31])
+    def test_small_primes_accepted(self, p):
+        assert make_homocyclic(p, 1, 1).sizes["G"] == p
+
+    def test_beyond_the_limit_rejected(self):
+        with pytest.raises(FamilyError, match="decided only below"):
+            make_homocyclic(10 ** 25, 1, 1)

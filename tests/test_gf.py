@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from pfdim.gf import (SUPPORTED_Q, make_field, rank, solve_affine, vec_add,
-                      vec_decode, vec_encode, vec_scale)
+from pfdim.gf import (PRIME_LIMIT, SUPPORTED_Q, is_prime, make_field, rank,
+                      solve_affine, vec_add, vec_decode, vec_encode, vec_scale)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -95,3 +95,28 @@ class TestSolveAffine:
                     v = vec_add(F, v, vec_scale(F, c, vec))
                 got.add(v)
             assert got == expected
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(-3, 5000) if is_prime(n)] == \
+            [n for n in range(-3, 5000) if trial(n)]
+
+    @pytest.mark.parametrize("n", [47053, 1600880117, 561, 3215031751,
+                                   3825123056546413051,
+                                   318665857834031151167461])
+    def test_composites_and_strong_pseudoprimes(self, n):
+        # 211*223, 40009*40013, a Carmichael number, and the least strong
+        # pseudoprimes to the first 4, 9 and 12 prime bases
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 41, 43, 2 ** 31 - 1, 10 ** 12 + 39,
+                                   2 ** 61 - 1])
+    def test_primes(self, n):
+        assert is_prime(n)
+
+    def test_beyond_the_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(PRIME_LIMIT)

@@ -5,7 +5,7 @@ import pytest
 from pfdim.logic import (And, App, Const, Eq, Exists, FiniteStructure, Forall,
                          Implies, Not, Or, Rel, SchemaError, SortError,
                          StructureError, Var, free_variables, make_signature,
-                         sort_check, structure_from_json_dict)
+                         rename_free, sort_check, structure_from_json_dict)
 from pfdim.counting import evaluate
 
 
@@ -127,3 +127,16 @@ class TestStructureValidation:
             structure_from_json_dict([])
         with pytest.raises(SchemaError):
             structure_from_json_dict({"relations": []})
+
+
+class TestRenameFree:
+    def test_function_term(self):
+        phi = Eq(App("f", (Var("y", "S"),)), Var("x", "S"))
+        assert rename_free(phi, "y", "z") == Eq(
+            App("f", (Var("z", "S"),)), Var("x", "S"))
+
+    def test_binder_stops_the_rename(self):
+        bound = Exists("y", "S", Rel("E", (Var("x"), Var("y"))))
+        phi = And(bound, Not(Rel("P", (App("f", (Var("y"),)),))))
+        assert rename_free(phi, "y", "y1") == And(
+            bound, Not(Rel("P", (App("f", (Var("y1"),)),))))
