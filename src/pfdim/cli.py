@@ -6,6 +6,7 @@ can tell it apart from bad input)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -226,7 +227,7 @@ def _cmd_pairwise_check(args) -> int:
 def _cmd_word_image(args) -> int:
     G = groups.builtin_group(args.group)
     word = groups.parse_word(args.word)
-    image = groups.word_image(word, G, budget=args.budget or 10 ** 8)
+    image = groups.word_image(word, G, budget=args.budget)
     payload = {"group": args.group, "word": args.word,
                "imageSize": len(image), "image": sorted(image)}
     if args.triple:
@@ -330,16 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--triple", action="store_true",
                    help="also check whether image^3 covers the group")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=10 ** 8,
+                   help="word-evaluation budget (default 10^8)")
     p.set_defaults(func=_cmd_word_image)
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and then reused:
+    # building costs about 30 times as much as parsing one command line
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the input-error code
         return 0 if exc.code in (0, None) else 1

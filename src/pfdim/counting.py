@@ -1,7 +1,9 @@
 """Exact evaluation and counting of definable sets.
 
-``count`` enumerates assignments for the counted variables serially and
-sums exact big-integer hits.
+``count`` compiles a formula once, for one structure, into nested closures
+over a flat slot list (one slot per variable and per binder), then
+enumerates assignments for the counted variables serially and sums exact
+big-integer hits.  ``evaluate`` goes through the same compiler.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .logic import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
@@ -72,57 +75,110 @@ class CardinalitySequence:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation.  A formula is compiled once per structure into nested closures
+# over a flat slot list.  Every binder gets a fresh slot, so a quantifier
+# loop writes its own slot and never saves or restores a shadowed value.
 
 
-def eval_term(t, M: FiniteStructure, env: Dict[str, int]) -> int:
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise AssignmentError(f"no value for variable {t.name}") from None
-    if isinstance(t, Const):
-        return M.constants[t.name]
-    if isinstance(t, App):
-        args = tuple(eval_term(a, M, env) for a in t.args)
-        return M.functions[t.func][args]
-    raise TypeError(f"not a term: {t!r}")
+def _unassigned(name: str):
+    def value(env):
+        raise AssignmentError(f"no value for variable {name}")
+    return value
+
+
+def _compile(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
+             counted: Sequence[str] = ()):
+    """Compile ``phi`` for ``M`` into ``(test, env)``.
+
+    ``env`` is the slot list: the values of ``fixed``, then one slot for
+    each name in ``counted`` (for the caller to set), then one slot per
+    binder.  ``test(env)`` is the truth of ``phi`` in ``M`` under the
+    values in the slots.  A free variable in neither ``fixed`` nor
+    ``counted`` raises :class:`AssignmentError` only when evaluation
+    reaches it.
+    """
+    names = [*fixed, *counted]
+    width = len(names)
+
+    def term(t, scope):
+        if isinstance(t, Var):
+            if t.name in scope:
+                return itemgetter(scope[t.name])
+            return _unassigned(t.name)
+        if isinstance(t, Const):
+            value = M.constants[t.name]
+            return lambda env: value
+        if isinstance(t, App):
+            table = M.functions[t.func]
+            args = [term(a, scope) for a in t.args]
+            return lambda env: table[tuple([a(env) for a in args])]
+        raise TypeError(f"not a term: {t!r}")
+
+    def walk(f, scope):
+        nonlocal width
+        if isinstance(f, Rel):
+            if f.name in M.virtual_relations:
+                holds = M.virtual_relations[f.name]
+            else:
+                holds = M.relations[f.name].__contains__
+            slots = [scope.get(a.name) if isinstance(a, Var) else None
+                     for a in f.args]
+            if None not in slots and len(slots) == 1:
+                i, = slots
+                return lambda env: holds((env[i],))
+            if None not in slots and len(slots) == 2:
+                i, j = slots
+                return lambda env: holds((env[i], env[j]))
+            args = [term(a, scope) for a in f.args]
+            return lambda env: holds(tuple([a(env) for a in args]))
+        if isinstance(f, Eq):
+            i = scope.get(f.left.name) if isinstance(f.left, Var) else None
+            j = scope.get(f.right.name) if isinstance(f.right, Var) else None
+            if i is not None and j is not None:
+                return lambda env: env[i] == env[j]
+            left, right = term(f.left, scope), term(f.right, scope)
+            return lambda env: left(env) == right(env)
+        if isinstance(f, Not):
+            body = walk(f.body, scope)
+            return lambda env: not body(env)
+        if isinstance(f, (And, Or, Implies)):
+            left, right = walk(f.left, scope), walk(f.right, scope)
+            if isinstance(f, And):
+                return lambda env: left(env) and right(env)
+            if isinstance(f, Or):
+                return lambda env: left(env) or right(env)
+            return lambda env: not left(env) or right(env)
+        if isinstance(f, (Exists, Forall)):
+            k = width
+            width += 1
+            body = walk(f.body, {**scope, f.var: k})
+            values = range(M.sizes[f.sort])
+            if isinstance(f, Exists):
+                def exists(env):
+                    for v in values:
+                        env[k] = v
+                        if body(env):
+                            return True
+                    return False
+                return exists
+
+            def forall(env):
+                for v in values:
+                    env[k] = v
+                    if not body(env):
+                        return False
+                return True
+            return forall
+        raise TypeError(f"not a formula node: {f!r}")
+
+    test = walk(phi, {name: i for i, name in enumerate(names)})
+    return test, [*fixed.values(), *[0] * (width - len(fixed))]
 
 
 def evaluate(phi: Formula, M: FiniteStructure, assignment: Dict[str, int]) -> bool:
     """Tarskian truth of ``phi`` in ``M`` under ``assignment`` (name -> id)."""
-    return _eval(phi, M, dict(assignment))
-
-
-def _eval(phi, M, env) -> bool:
-    if isinstance(phi, Rel):
-        return M.holds(phi.name, tuple(eval_term(a, M, env) for a in phi.args))
-    if isinstance(phi, Eq):
-        return eval_term(phi.left, M, env) == eval_term(phi.right, M, env)
-    if isinstance(phi, Not):
-        return not _eval(phi.body, M, env)
-    if isinstance(phi, And):
-        return _eval(phi.left, M, env) and _eval(phi.right, M, env)
-    if isinstance(phi, Or):
-        return _eval(phi.left, M, env) or _eval(phi.right, M, env)
-    if isinstance(phi, Implies):
-        return (not _eval(phi.left, M, env)) or _eval(phi.right, M, env)
-    if isinstance(phi, (Exists, Forall)):
-        size = M.sizes[phi.sort]
-        saved = env.get(phi.var)
-        want = isinstance(phi, Exists)
-        result = not want
-        for v in range(size):
-            env[phi.var] = v
-            if _eval(phi.body, M, env) == want:
-                result = want
-                break
-        if saved is None:
-            env.pop(phi.var, None)
-        else:
-            env[phi.var] = saved
-        return result
-    raise TypeError(f"not a formula node: {phi!r}")
+    test, env = _compile(phi, M, assignment)
+    return test(env)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +191,10 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
     """Exact number of counted-variable tuples satisfying ``phi``.
 
     ``counted_vars`` and the domain of ``fixed`` must partition the free
-    variables of ``phi`` (disjointly).  ``workers`` is accepted and ignored:
-    enumeration is serial.
+    variables of ``phi`` (disjointly), and each fixed value must be an
+    element of its variable's sort.  ``phi`` is compiled once and run on
+    every assignment.  ``workers`` is accepted and ignored: enumeration is
+    serial.
     """
     fv = free_variables(phi)
     fv_names = [n for n, _ in fv]
@@ -151,35 +209,47 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
     if extra:
         raise AssignmentError(
             f"counted variables not free in the formula: {sorted(extra)}")
-    counted = [v for v in counted_vars if v in sorts]
-
-    if not counted:
+    extra = set(fixed) - set(fv_names)
+    if extra:
+        raise AssignmentError(
+            f"fixed variables not free in the formula: {sorted(extra)}")
+    for v, value in fixed.items():
+        n = _sort_size(M, v, sorts[v])
+        if not 0 <= value < n:
+            raise AssignmentError(
+                f"fixed value {v}={value} is outside sort {sorts[v]} "
+                f"(elements 0..{n - 1})")
+    if not counted_vars:
         return Count(1 if evaluate(phi, M, fixed) else 0)
 
     domains = []
     total = 1
-    for v in counted:
-        if sorts[v] is None:
-            raise AssignmentError(f"variable {v} has no inferred sort; sort_check first")
-        n = M.sizes[sorts[v]]
+    for v in counted_vars:
+        n = _sort_size(M, v, sorts[v])
         domains.append(range(n))
         total *= n
     if total > (budget if budget is not None else get_budget()):
         raise BudgetExceeded(
             f"count would enumerate {total} assignments (budget exceeded)")
 
-    # The innermost variable is set directly: a dict update per assignment
-    # made one-variable counts about 13% slower.
-    *outer, last = counted
-    env = dict(fixed)
+    # the counted variables' slots follow the fixed ones; the innermost
+    # counted variable is set directly
+    test, env = _compile(phi, M, fixed, counted_vars)
+    first, last = len(fixed), len(fixed) + len(counted_vars) - 1
     hits = 0
     for values in product(*domains[:-1]):
-        env.update(zip(outer, values))
+        env[first:last] = values
         for v in domains[-1]:
             env[last] = v
-            if _eval(phi, M, env):
+            if test(env):
                 hits += 1
     return Count(hits)
+
+
+def _sort_size(M: FiniteStructure, var: str, sort: Optional[str]) -> int:
+    if sort is None:
+        raise AssignmentError(f"variable {var} has no inferred sort; sort_check first")
+    return M.sizes[sort]
 
 
 def count_family(phi_text: str, family, indices: Sequence[int],

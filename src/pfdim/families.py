@@ -382,7 +382,9 @@ def family_count(family: FamilyHandle, phi_text: str, index: int,
 
     Prefers the closed-form block route; falls back to materializing the
     structure and enumerating when the formula is outside the block
-    fragment (and the index is within the materialization budget).
+    fragment (and the index is within the materialization budget).  On
+    that route, selector parameters that are not free in the formula are
+    left out.
     """
     sig = family_signature(family, index)
     phi = parse_formula(phi_text, sig)
@@ -391,8 +393,9 @@ def family_count(family: FamilyHandle, phi_text: str, index: int,
     if agg is not None:
         return agg
     M = generate(family.family_id, index)
-    fixed = {k: v.global_id for k, v in params.items()}
-    counted = [n for n, _ in free_variables(phi) if n not in fixed]
+    free = [n for n, _ in free_variables(phi)]
+    fixed = {k: v.global_id for k, v in params.items() if k in free}
+    counted = [n for n in free if n not in fixed]
     return engine_count(phi, M, fixed, counted, budget=budget)
 
 

@@ -223,3 +223,71 @@ class TestDimCompareIndices:
                                     "--indices", "32,8,64,16,8")
         assert code == 0
         assert shuffled_out == sorted_out
+
+
+class TestFixedValidation:
+    def test_fixed_value_outside_sort_exits_one(self, capsys, structure_file):
+        code, out, err = run(capsys, "count", "--structure", structure_file,
+                             "--formula", "E(x, y)", "--count-vars", "x",
+                             "--fix", "y=99")
+        assert code == 1
+        assert out == ""
+        assert "y=99" in err and "outside sort S" in err
+
+    def test_fixed_variable_not_free_exits_one(self, capsys, structure_file):
+        code, out, err = run(capsys, "count", "--structure", structure_file,
+                             "--formula", "E(x, y)", "--count-vars", "x,y",
+                             "--fix", "z=1")
+        assert code == 1
+        assert out == ""
+        assert "not free in the formula: ['z']" in err
+
+    def test_selector_parameter_absent_from_formula(self, capsys):
+        # the block route declines the quantifier; the selector's y is not
+        # free in the formula, so the fallback counts x alone
+        from pfdim.counting import count
+        from pfdim.families import generate, get_family, family_signature
+        from pfdim.parser import parse_formula
+
+        text = "exists z:S. (E(x, z) & !(z = x))"
+        code, out, err = run(capsys, "family", "--name",
+                             "stablenonattainability", "--index", "3",
+                             "--formula", text, "--selector", "class-rank-1")
+        assert code == 0, err
+        sig = family_signature(get_family("stablenonattainability"), 3)
+        M = generate("stablenonattainability", 3)
+        expected = count(parse_formula(text, sig), M, {}, ["x"]).value
+        assert json.loads(out)["count"] == str(expected)
+
+
+class TestWordImageBudget:
+    def test_zero_budget_exits_one(self, capsys):
+        code, out, err = run(capsys, "word-image", "--group", "S3",
+                             "--word", "x*x", "--budget", "0")
+        assert code == 1
+        assert out == ""
+        assert "exceeds budget" in err
+
+    def test_default_budget_still_applies(self, capsys):
+        code, out, _ = run(capsys, "word-image", "--group", "S3",
+                           "--word", "x*x")
+        assert code == 0
+        assert json.loads(out)["imageSize"] == 3
+
+
+class TestParserReuse:
+    def test_build_parser_returns_a_fresh_parser(self):
+        from pfdim.cli import build_parser
+        assert build_parser() is not build_parser()
+
+    def test_no_state_carries_over_between_calls(self, capsys,
+                                                 structure_file):
+        # --fix appends to a list: a reused parser must start it afresh
+        code, out, _ = run(capsys, "count", "--structure", structure_file,
+                           "--formula", "E(x, y)", "--count-vars", "x",
+                           "--fix", "y=1")
+        assert (code, json.loads(out)["count"]) == (0, "1")
+        code, _, err = run(capsys, "count", "--structure", structure_file,
+                           "--formula", "E(x, y)", "--count-vars", "x")
+        assert code == 1
+        assert "unassigned free variables: ['y']" in err
