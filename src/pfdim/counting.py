@@ -1,9 +1,10 @@
 """Exact evaluation and counting of definable sets.
 
-``count`` compiles a formula once, for one structure, into nested closures
-over a flat slot list (one slot per variable and per binder), then
-enumerates assignments for the counted variables serially and sums exact
-big-integer hits.  ``evaluate`` goes through the same compiler.
+``compile_formula`` turns a formula, for one structure, into nested
+closures over a flat slot list (one slot per variable and per binder).
+``count`` compiles once, then enumerates assignments for the counted
+variables serially and sums exact big-integer hits; ``evaluate`` and the
+block route of ``families.aggregate_count`` go through the same compiler.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _unassigned(name: str):
     return value
 
 
-def _compile(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
-             counted: Sequence[str] = ()):
+def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
+                    counted: Sequence[str] = ()):
     """Compile ``phi`` for ``M`` into ``(test, env)``.
 
     ``env`` is the slot list: the values of ``fixed``, then one slot for
@@ -177,7 +178,7 @@ def _compile(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
 
 def evaluate(phi: Formula, M: FiniteStructure, assignment: Dict[str, int]) -> bool:
     """Tarskian truth of ``phi`` in ``M`` under ``assignment`` (name -> id)."""
-    test, env = _compile(phi, M, assignment)
+    test, env = compile_formula(phi, M, assignment)
     return test(env)
 
 
@@ -190,15 +191,18 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
           budget: Optional[int] = None) -> Count:
     """Exact number of counted-variable tuples satisfying ``phi``.
 
-    ``counted_vars`` and the domain of ``fixed`` must partition the free
-    variables of ``phi`` (disjointly), and each fixed value must be an
-    element of its variable's sort.  ``phi`` is compiled once and run on
-    every assignment.  ``workers`` is accepted and ignored: enumeration is
-    serial.
+    ``counted_vars`` (without repeats) and the domain of ``fixed`` must
+    partition the free variables of ``phi`` (disjointly), and each fixed
+    value must be an element of its variable's sort.  ``phi`` is compiled
+    once and run on every assignment.  ``workers`` is accepted and ignored:
+    enumeration is serial.
     """
     fv = free_variables(phi)
     fv_names = [n for n, _ in fv]
     sorts = dict(fv)
+    repeated = sorted({v for v in counted_vars if counted_vars.count(v) > 1})
+    if repeated:
+        raise AssignmentError(f"variables counted more than once: {repeated}")
     overlap = set(counted_vars) & set(fixed)
     if overlap:
         raise AssignmentError(f"variables both fixed and counted: {sorted(overlap)}")
@@ -234,7 +238,7 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
 
     # the counted variables' slots follow the fixed ones; the innermost
     # counted variable is set directly
-    test, env = _compile(phi, M, fixed, counted_vars)
+    test, env = compile_formula(phi, M, fixed, counted_vars)
     first, last = len(fixed), len(fixed) + len(counted_vars) - 1
     hits = 0
     for values in product(*domains[:-1]):

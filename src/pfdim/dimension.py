@@ -131,23 +131,25 @@ class ChainReport:
                 "dropLength": self.drop_length, "tau": self.tau}
 
 
-def _chain_prefix_count(family: FamilyHandle, steps, index: int,
-                        upto: int) -> Count:
+def _chain_prefix_counts(family: FamilyHandle, steps, index: int) -> List[int]:
+    """Counts of every prefix conjunction of the steps at one index, each
+    step parsed once and conjoined onto the previous prefix."""
     sig = family_signature(family, index)
     conj = None
     params: Dict[str, object] = {}
-    for j in range(upto):
-        text, selector = steps[j]
+    out = []
+    for j, (text, selector) in enumerate(steps):
         phi = parse_formula(text, sig)
         if selector is not None:
             fresh = f"y{j + 1}"
             phi = rename_free(phi, "y", fresh)
             params[fresh] = family_selector(family, selector, index)["y"]
         conj = phi if conj is None else And(conj, phi)
-    result = aggregate_count(family, conj, index, params)
-    if result is None:
-        raise DimensionError("chain formula outside the block fragment")
-    return result
+        result = aggregate_count(family, conj, index, params)
+        if result is None:
+            raise DimensionError("chain formula outside the block fragment")
+        out.append(result.value)
+    return out
 
 
 def chain_detect(family: FamilyHandle,
@@ -161,13 +163,10 @@ def chain_detect(family: FamilyHandle,
     """
     steps = tuple((f, s) for f, s in steps)
     indices = tuple(indices)
-    rows: List[Tuple[float, ...]] = []
-    counts: List[List[int]] = []
-    for i in range(1, len(steps) + 1):
-        per_index = [_chain_prefix_count(family, steps, n, i).value
-                     for n in indices]
-        counts.append(per_index)
-        rows.append(tuple(math.log(c) if c else NEG_INF for c in per_index))
+    per_index = [_chain_prefix_counts(family, steps, n) for n in indices]
+    counts = [[row[i] for row in per_index] for i in range(len(steps))]
+    rows = [tuple(math.log(c) if c else NEG_INF for c in per_step)
+            for per_step in counts]
     verdicts = []
     for i in range(len(steps) - 1):
         seq_a = CardinalitySequence(family.family_id, steps[i][0], steps[i][1],

@@ -12,6 +12,13 @@ Every family supports two counting routes:
   sizes.  Aggregate counting over blocks yields exact counts at indices far
   beyond any enumeration budget and is cross-checked against the engine at
   small indices in the test suite.
+
+Block counting has no formula evaluator of its own: it builds the quotient
+structure whose elements are the blocks (``E`` relates blocks of one class,
+``P<k>`` holds on blocks of level at least ``k``), runs the engine's
+compiled evaluator (``counting.compile_formula``) on it with each parameter
+on its singleton block, and adds the size of every block the counted
+variable satisfies the formula on.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import gf
-from .counting import Count, count as engine_count
-from .logic import (And, Eq, FiniteStructure, Implies, Not, Or, PfdimError,
-                    Rel, Signature, Var, free_variables, make_signature)
+from .counting import Count, compile_formula, count as engine_count
+from .logic import (FiniteStructure, PfdimError, Signature, free_variables,
+                    make_signature)
 from .parser import parse_formula
 
 MAX_UNIVERSE = 200_000
@@ -274,105 +281,64 @@ def _pred_blocks(summary: NestedPredSummary):
             for i in range(len(sizes) - 1) if sizes[i] - sizes[i + 1] > 0]
 
 
-class _Unsupported(Exception):
-    pass
+def _quotient(summary, sig: Signature, blocks) -> FiniteStructure:
+    """The structure whose elements are the blocks: ``E`` holds between a
+    block and itself and between blocks of one class; ``P<k>`` holds on the
+    blocks of level at least ``k``."""
+    classes = [b.class_index for b in blocks]
+    if isinstance(summary, EquivSummary):
+        def related(t):
+            i, j = t
+            return i == j or (classes[i] is not None
+                              and classes[i] == classes[j])
+        virtual = {"E": related}
+    else:
+        virtual = {name: lambda t, k=int(name[1:]): classes[t[0]] >= k
+                   for name in sig.relations}
+    return FiniteStructure(signature=sig, sizes={"S": len(blocks)},
+                           relations={}, functions={}, constants={},
+                           virtual_relations=virtual)
 
 
-def _aggregate_eval(phi, env: Dict[str, object], kind: str) -> bool:
-    """Truth of a quantifier-free formula where each variable is bound to a
-    _Block or ElemRef on which every atom is constant."""
-
-    def class_of(v):
-        val = env.get(_var_name(v))
-        if val is None:
-            raise _Unsupported
-        return val.class_index
-
-    def is_same_element(u, v):
-        a, b = env.get(_var_name(u)), env.get(_var_name(v))
-        if a is None or b is None:
-            raise _Unsupported
-        if a is b:
-            return True
-        ka = _elem_key(a)
-        kb = _elem_key(b)
-        if ka is None or kb is None:
-            return False  # distinct blocks, or block vs param singleton
-        return ka == kb
-
-    if isinstance(phi, Rel):
-        if kind == "equiv" and phi.name == "E" and len(phi.args) == 2:
-            u, v = phi.args
-            cu, cv = class_of(u), class_of(v)
-            if cu is None or cv is None:
-                # the lumped block is E-unrelated to every referenced class,
-                # and E-related to itself only via reflexivity
-                return _var_name(u) == _var_name(v)
-            return cu == cv
-        if kind == "pred" and phi.name.startswith("P") and len(phi.args) == 1:
-            level = int(phi.name[1:])
-            cu = class_of(phi.args[0])
-            return cu is not None and cu >= level
-        raise _Unsupported
-    if isinstance(phi, Eq):
-        return is_same_element(phi.left, phi.right)
-    if isinstance(phi, Not):
-        return not _aggregate_eval(phi.body, env, kind)
-    if isinstance(phi, And):
-        return (_aggregate_eval(phi.left, env, kind)
-                and _aggregate_eval(phi.right, env, kind))
-    if isinstance(phi, Or):
-        return (_aggregate_eval(phi.left, env, kind)
-                or _aggregate_eval(phi.right, env, kind))
-    if isinstance(phi, Implies):
-        return ((not _aggregate_eval(phi.left, env, kind))
-                or _aggregate_eval(phi.right, env, kind))
-    raise _Unsupported  # quantifiers: fall back to enumeration
-
-
-def _var_name(t):
-    if isinstance(t, Var):
-        return t.name
-    raise _Unsupported  # function terms have no block semantics here
-
-
-def _elem_key(v):
-    if isinstance(v, ElemRef):
-        return ("e", v.class_index, v.offset)
-    if isinstance(v, _Block) and v.param is not None:
-        return ("e", v.param.class_index, v.param.offset)
-    return None
+def _block_count(summary, sig: Signature, phi,
+                 params: Dict[str, ElemRef]) -> Optional[Count]:
+    """``aggregate_count`` for a summary and signature already at hand."""
+    counted = [n for n, _ in free_variables(phi) if n not in params]
+    if len(counted) > 1:
+        return None
+    if isinstance(summary, EquivSummary):
+        blocks = _equiv_blocks(summary, params)
+    elif params:
+        return None
+    else:
+        blocks = _pred_blocks(summary)
+    # each parameter sits on the index of its singleton block
+    slot = {(b.param.class_index, b.param.offset): i
+            for i, b in enumerate(blocks) if b.param is not None}
+    fixed = {v: slot[ref.class_index, ref.offset] for v, ref in params.items()}
+    test, env = compile_formula(phi, _quotient(summary, sig, blocks), fixed,
+                                counted)
+    if len(env) > len(fixed) + len(counted):
+        return None  # a binder: blocks are not closed under quantification
+    if not counted:
+        return Count(1 if test(env) else 0)
+    x = len(fixed)
+    acc = 0
+    for i, b in enumerate(blocks):
+        env[x] = i
+        if test(env):
+            acc += b.size
+    return Count(acc)
 
 
 def aggregate_count(family: FamilyHandle, phi, index: int,
                     params: Dict[str, ElemRef]) -> Optional[Count]:
     """Exact count over one counted variable via block decomposition, or
-    None when the formula is outside the supported fragment."""
-    summary = family_summary(family, index)
-    kind = "equiv" if family.family_id in _EQUIV_FAMILIES else "pred"
-    fv = [n for n, _ in free_variables(phi)]
-    counted = [v for v in fv if v not in params]
-    if len(counted) > 1:
-        return None
-    if kind == "equiv":
-        blocks = _equiv_blocks(summary, params)
-    else:
-        if params:
-            return None
-        blocks = _pred_blocks(summary)
-    env: Dict[str, object] = dict(params)
-    try:
-        if not counted:
-            return Count(1 if _aggregate_eval(phi, env, kind) else 0)
-        x = counted[0]
-        acc = 0
-        for b in blocks:
-            env[x] = b
-            if _aggregate_eval(phi, env, kind):
-                acc += b.size
-        return Count(acc)
-    except _Unsupported:
-        return None
+    None when the formula is outside the supported fragment: more than one
+    counted variable, a quantifier, or parameters on a nested-predicate
+    family."""
+    return _block_count(family_summary(family, index),
+                        family_signature(family, index), phi, params)
 
 
 def family_count(family: FamilyHandle, phi_text: str, index: int,
@@ -414,14 +380,14 @@ def spectrum_logcounts(family: FamilyHandle, phi_text: str, index: int) -> List[
     fv = [n for n, _ in free_variables(phi)]
     if "y" not in fv:
         # dummy parameter: one block of b values, one count
-        c = aggregate_count(family, phi, index, {})
+        c = _block_count(summary, sig, phi, {})
         if c is None:
             raise FamilyError("formula outside the block fragment")
         return [c.log_value]
     values = set()
     for ci in range(len(summary.class_sizes)):
         ref = summary.element(ci)
-        c = aggregate_count(family, phi, index, {"y": ref})
+        c = _block_count(summary, sig, phi, {"y": ref})
         if c is None:
             raise FamilyError("formula outside the block fragment")
         values.add(c.log_value)

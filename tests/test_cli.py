@@ -242,6 +242,14 @@ class TestFixedValidation:
         assert out == ""
         assert "not free in the formula: ['z']" in err
 
+    def test_duplicate_counted_variable_exits_one(self, capsys,
+                                                  structure_file):
+        code, out, err = run(capsys, "count", "--structure", structure_file,
+                             "--formula", "E(x, y)", "--count-vars", "x,x,y")
+        assert code == 1
+        assert out == ""
+        assert "counted more than once: ['x']" in err
+
     def test_selector_parameter_absent_from_formula(self, capsys):
         # the block route declines the quantifier; the selector's y is not
         # free in the formula, so the fallback counts x alone
