@@ -392,17 +392,37 @@ def _solvability_pattern(pos, neg, params, p, n, m, var) -> FrozenSet[FrozenSet[
     return frozenset(pat)
 
 
+def _subsets(t: int) -> List[FrozenSet[int]]:
+    """The subsets of {0..t-1} by size, then lexicographically."""
+    return [frozenset(s) for size in range(t + 1)
+            for s in combinations(range(t), size)]
+
+
 def _downward_closed_patterns(t: int) -> List[FrozenSet[FrozenSet[int]]]:
     """All downward-closed families of subsets of {0..t-1}: the possible
-    nonemptiness patterns (adding atoms can only shrink a coset)."""
-    subsets = [frozenset(s) for size in range(t + 1)
-               for s in combinations(range(t), size)]
-    patterns = []
-    for bits in range(1 << len(subsets)):
-        fam = frozenset(s for i, s in enumerate(subsets) if bits >> i & 1)
-        if all(t2 in fam for s in fam for t2 in subsets if t2 <= s):
-            patterns.append(fam)
-    return patterns
+    nonemptiness patterns (adding atoms can only shrink a coset).
+
+    Generated directly rather than filtered from all 2^(2^t) families: the
+    subsets are visited in size order and one is taken only if each of its
+    one-smaller subsets already is (closure under dropping one element is
+    closure under dropping any).  A family is a bitmask over ``_subsets(t)``
+    and the list is sorted by it."""
+    subsets = _subsets(t)
+    position = {s: i for i, s in enumerate(subsets)}
+    below = [[position[s - {e}] for e in s] for s in subsets]
+    masks: List[int] = []
+
+    def extend(i: int, mask: int) -> None:
+        if i == len(subsets):
+            masks.append(mask)
+            return
+        extend(i + 1, mask)
+        if all(mask >> j & 1 for j in below[i]):
+            extend(i + 1, mask | 1 << i)
+
+    extend(0, 0)
+    return [frozenset(s for i, s in enumerate(subsets) if mask >> i & 1)
+            for mask in sorted(masks)]
 
 
 def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
@@ -415,23 +435,39 @@ def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
     D = 2 * d + 2
     regimes: List[Tuple[str, Optional[int]]] = (
         [(f"n={n0}", n0) for n0 in range(1, D + 1)] + [(f"n>{D}", None)])
+    patterns = [(pattern, "solvable negation-subsets: "
+                 + ("{" + ", ".join(sorted(
+                     "{" + ",".join(str(i + 1) for i in sorted(s)) + "}"
+                     for s in pattern)) + "}" if pattern else "none"))
+                for pattern in _downward_closed_patterns(t)]
+    # one solvability pattern per (n, m, params), shared by every guard of
+    # this catalog: at most one regime matches n, and its guards all fire
+    # on the same pattern
+    solvable: Dict[tuple, FrozenSet[FrozenSet[int]]] = {}
+
+    def actual(n, m, params) -> FrozenSet[FrozenSet[int]]:
+        key = (n, m, tuple(map(tuple, params)))
+        if key not in solvable:
+            solvable[key] = _solvability_pattern(pos, neg, params, p, n, m, var)
+        return solvable[key]
+
     cases = []
     for regime_desc, n0 in regimes:
-        for pattern in _downward_closed_patterns(t):
+        # the monomial of one negation subset is the same in every pattern
+        exponent = {}
+        for sub in _subsets(t):
+            system = list(pos) + [neg[i] for i in sub]
+            if n0 is None:
+                exponent[sub] = _generic_exponent(system, p, var)
+            else:
+                exponent[sub] = _concrete_exponent(system, p, n0, var, d)
+        for pattern, pattern_desc in patterns:
             coeffs: Dict[Tuple[int, int], int] = {}
             for sub in pattern:
-                system = list(pos) + [neg[i] for i in sub]
-                if n0 is None:
-                    i, j = _generic_exponent(system, p, var)
-                else:
-                    i, j = _concrete_exponent(system, p, n0, var, d)
-                sign = (-1) ** len(sub)
-                coeffs[(i, j)] = coeffs.get((i, j), 0) + sign
+                ij = exponent[sub]
+                coeffs[ij] = coeffs.get(ij, 0) + (-1) ** len(sub)
             poly = make_poly(1, d, coeffs)
-            desc = (f"{regime_desc}; solvable negation-subsets: "
-                    + ("{" + ", ".join(sorted(
-                        "{" + ",".join(str(i + 1) for i in sorted(s)) + "}"
-                        for s in pattern)) + "}" if pattern else "none"))
+            desc = f"{regime_desc}; {pattern_desc}"
 
             def fires(n, m, params, _n0=n0, _pat=pattern, _D=D):
                 if _n0 is None:
@@ -439,8 +475,7 @@ def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
                         return False
                 elif n != _n0:
                     return False
-                actual = _solvability_pattern(pos, neg, params, p, n, m, var)
-                return actual == _pat
+                return actual(n, m, params) == _pat
 
             cases.append(SymbolicCase(poly, desc, fires))
     return cases
@@ -518,7 +553,14 @@ def symbolic_value(atoms: Sequence[StandardAtom], r: int,
                    p: int, n: int, m: int,
                    d: Optional[int] = None) -> Tuple[SymbolicCase, Count]:
     """Select the unique firing case and evaluate it."""
-    cases = symbolic_count(atoms, r, p, d)
+    return select_case(symbolic_count(atoms, r, p, d), params, p, n, m)
+
+
+def select_case(cases: Sequence[SymbolicCase],
+                params: Sequence[Tuple[int, ...]],
+                p: int, n: int, m: int) -> Tuple[SymbolicCase, Count]:
+    """The unique case of a ``symbolic_count`` catalog whose guard fires,
+    and its value."""
     hits = [c for c in cases if c.fires(n, m, params)]
     if len(hits) != 1:
         raise AbelianError(f"{len(hits)} guards fired; expected exactly 1")

@@ -134,9 +134,8 @@ def _cmd_abelian_count(args) -> int:
         cases = abelian.symbolic_count(atoms, args.r, args.p, d=args.d)
         payload = {"cases": [c.to_json_dict() for c in cases]}
         if params or args.s == 0:
-            case, value = abelian.symbolic_value(atoms, args.r, params,
-                                                 args.p, args.n, args.m,
-                                                 d=args.d)
+            case, value = abelian.select_case(cases, params, args.p,
+                                              args.n, args.m)
             payload["fired"] = case.to_json_dict()
             payload["count"] = str(value.value)
         _emit(payload)
@@ -154,14 +153,22 @@ def _cmd_abelian_count(args) -> int:
 
 
 def _cmd_vs_count(args) -> int:
-    space = families.make_vector_space(args.q, args.dim)
+    # the closed forms read only (q, dim): the structure is never built
+    space = families.vector_space_ambient(args.q, args.dim)
     if args.coset_spec:
         with open(args.coset_spec) as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise vspace.VSpaceError("coset spec must be a JSON object")
 
         def coset(d):
-            return vspace.Coset(tuple(d["point"]),
-                                tuple(tuple(r) for r in d.get("rows", [])))
+            try:
+                return vspace.Coset(tuple(d["point"]),
+                                    tuple(tuple(r) for r in d.get("rows", [])))
+            except (KeyError, TypeError, AttributeError):
+                raise vspace.VSpaceError(
+                    f"bad coset {d!r}: need a 'point' list and optional "
+                    "'rows' lists") from None
 
         result = vspace.count_coset_difference(
             space, [coset(d) for d in spec.get("include", [])],

@@ -32,6 +32,7 @@ from .counting import Count, compile_formula, count as engine_count
 from .logic import (FiniteStructure, PfdimError, Signature, free_variables,
                     make_signature)
 from .parser import parse_formula
+from .vspace import Ambient
 
 MAX_UNIVERSE = 200_000
 MAX_TABLE_ENTRIES = 2_000_000
@@ -400,6 +401,19 @@ def spectrum_logcounts(family: FamilyHandle, phi_text: str, index: int) -> List[
 THETA_TABLE_LIMIT = 200_000
 
 
+def vector_space_ambient(q: int, dim: int) -> Ambient:
+    """The coordinate view of GF(q)^dim, after the same checks as
+    ``make_vector_space``; the closed forms in ``vspace`` need nothing
+    more, so the structure itself is never built."""
+    if q not in gf.SUPPORTED_Q:
+        raise FamilyError(f"q={q} is not a supported prime power")
+    if dim < 1 or dim > 6:
+        raise FamilyError("dim must be in 1..6")
+    if q ** dim > MAX_UNIVERSE:
+        raise FamilyError("vector sort exceeds size budget")
+    return Ambient(gf.make_field(q), dim)
+
+
 def make_vector_space(q: int, dim: int) -> FiniteStructure:
     """2-sorted structure (V, K): field tables, vector addition, scalar
     action, and independence relations theta1..theta<dim>.
@@ -407,14 +421,9 @@ def make_vector_space(q: int, dim: int) -> FiniteStructure:
     theta_n tables are materialized only while (q^dim)^n stays small;
     beyond that they are virtual relations computed by Gaussian rank.
     """
-    if q not in gf.SUPPORTED_Q:
-        raise FamilyError(f"q={q} is not a supported prime power")
-    if dim < 1 or dim > 6:
-        raise FamilyError("dim must be in 1..6")
-    F = gf.make_field(q)
-    nvec = q ** dim
-    if nvec > MAX_UNIVERSE:
-        raise FamilyError("vector sort exceeds size budget")
+    amb = vector_space_ambient(q, dim)
+    F = amb.F
+    nvec = amb.size
     vecs = [gf.vec_decode(v, q, dim) for v in range(nvec)]
 
     sig = make_signature(

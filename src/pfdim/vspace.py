@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf
 from .counting import Count
@@ -134,7 +134,14 @@ class Ambient:
         return gf.vec_encode(vec, self.F.q)
 
 
-def ambient_of(space: FiniteStructure) -> Ambient:
+# the closed forms below read nothing of a materialized structure but its
+# sort sizes, so they take the coordinate view itself as well
+Space = Union[FiniteStructure, Ambient]
+
+
+def ambient_of(space: Space) -> Ambient:
+    if isinstance(space, Ambient):
+        return space
     q = space.sizes["K"]
     nvec = space.sizes["V"]
     dim = 0
@@ -145,14 +152,18 @@ def ambient_of(space: FiniteStructure) -> Ambient:
     return Ambient(gf.make_field(q), dim)
 
 
-def span_rank(space: FiniteStructure, vector_ids: Sequence[int]) -> int:
-    """Rank of the given vectors of the vector sort; the span has exactly
-    q^rank elements."""
-    amb = ambient_of(space)
+def _decode_ids(amb: Ambient, vector_ids: Sequence[int]) -> List[Tuple[int, ...]]:
     for v in vector_ids:
         if not 0 <= v < amb.size:
             raise VSpaceError(f"vector id {v} outside the vector sort")
-    return gf.rank(amb.F, [amb.decode(v) for v in vector_ids])
+    return [amb.decode(v) for v in vector_ids]
+
+
+def span_rank(space: Space, vector_ids: Sequence[int]) -> int:
+    """Rank of the given vectors of the vector sort; the span has exactly
+    q^rank elements."""
+    amb = ambient_of(space)
+    return gf.rank(amb.F, _decode_ids(amb, vector_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +195,13 @@ def _zero_sum_relation_exists(amb: Ambient, w: List[Tuple[int, ...]],
     return gf.rank(amb.F, rows) < len(rows)
 
 
-def count_theta_case(space: FiniteStructure, w_ids: Sequence[int],
+def count_theta_case(space: Space, w_ids: Sequence[int],
                      wprime_ids: Sequence[int]) -> ThetaCase:
     """|{u : theta(u+w_1, ..., u+w_m, w_1', ..., w_m'')}| by the
     independence case analysis, with the selecting polynomial."""
     amb = ambient_of(space)
-    w = [amb.decode(v) for v in w_ids]
-    wp = [amb.decode(v) for v in wprime_ids]
+    w = _decode_ids(amb, w_ids)
+    wp = _decode_ids(amb, wprime_ids)
     m, mp = len(w), len(wp)
     n = m + mp
     rank_w = gf.rank(amb.F, w + wp)
@@ -277,12 +288,26 @@ class CosetCount:
     poly: VFPolynomial
 
 
-def count_coset_difference(space: FiniteStructure, include: Sequence[Coset],
+def _check_coset(amb: Ambient, c: Coset) -> None:
+    for vec in (c.point,) + tuple(c.rows):
+        if len(vec) != amb.dim:
+            raise VSpaceError(
+                f"coset vector {list(vec)} has length {len(vec)}, "
+                f"expected dim={amb.dim}")
+        if not all(isinstance(x, int) and 0 <= x < amb.F.q for x in vec):
+            raise VSpaceError(
+                f"coset vector {list(vec)} has a coordinate that is not "
+                f"an integer in 0..{amb.F.q - 1}")
+
+
+def count_coset_difference(space: Space, include: Sequence[Coset],
                            exclude: Sequence[Coset]) -> CosetCount:
     """|(U_1 cap ... cap U_l) \\ (V_1 cup ... cup V_k)| with the matching
     polynomial: |V| + p(|F|) when the intersection is the whole space,
     p(|F|) otherwise."""
     amb = ambient_of(space)
+    for c in list(include) + list(exclude):
+        _check_coset(amb, c)
     base: Optional[Coset] = _full_coset(amb)
     for U in include:
         base = _intersect(amb, base, U)
