@@ -11,10 +11,11 @@ from .logic import (App, And, Const, Eq, Exists, FiniteStructure, Forall,
 from .parser import ParseDiagnostic, parse_formula, render_formula
 from .counting import (AssignmentError, BudgetExceeded, CardinalitySequence,
                        Count, count, count_family, evaluate, get_budget)
-from .families import (ElemRef, FamilyError, FamilyHandle, aggregate_count,
-                       family_count, family_selector, family_signature,
-                       family_summary, generate, get_family, list_families,
-                       make_homocyclic, make_vector_space, spectrum_logcounts)
+from .families import (ElemRef, FamilyAt, FamilyError, FamilyHandle,
+                       aggregate_count, family_count, family_selector,
+                       family_signature, family_summary, generate, get_family,
+                       list_families, make_homocyclic, make_vector_space,
+                       spectrum_logcounts)
 from .abelian import (AbelianError, ExponentPolynomial, LinearTerm,
                       StandardAtom, SymbolicCase, brute_count, derived_bound,
                       evaluate_poly, exact_count,

@@ -561,6 +561,8 @@ def select_case(cases: Sequence[SymbolicCase],
                 p: int, n: int, m: int) -> Tuple[SymbolicCase, Count]:
     """The unique case of a ``symbolic_count`` catalog whose guard fires,
     and its value."""
+    if n < 1 or m < 1:
+        raise AbelianError("need n >= 1 and m >= 1")
     hits = [c for c in cases if c.fires(n, m, params)]
     if len(hits) != 1:
         raise AbelianError(f"{len(hits)} guards fired; expected exactly 1")

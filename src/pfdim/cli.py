@@ -156,6 +156,9 @@ def _cmd_vs_count(args) -> int:
     # the closed forms read only (q, dim): the structure is never built
     space = families.vector_space_ambient(args.q, args.dim)
     if args.coset_spec:
+        if args.w is not None or args.wprime is not None:
+            raise vspace.VSpaceError(
+                "give either --coset-spec or --w/--wprime, not both")
         with open(args.coset_spec) as fh:
             spec = json.load(fh)
         if not isinstance(spec, dict):
@@ -255,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting of definable sets in finite structures")
     sub = top.add_subparsers(dest="command", required=True)
 
-    budget_help = "assignment-visit budget (default PFDIM_BUDGET)"
+    budget_help = ("step budget: assignments times quantifier visits "
+                   "(default PFDIM_BUDGET)")
 
     p = sub.add_parser("count", help="count satisfying assignments")
     p.add_argument("--structure", required=True)

@@ -4,7 +4,7 @@
 closures over a flat slot list (one slot per variable and per binder).
 ``count`` compiles once, then enumerates assignments for the counted
 variables serially and sums exact big-integer hits; ``evaluate`` and the
-block route of ``families.aggregate_count`` go through the same compiler.
+block route of ``families.FamilyAt.count`` go through the same compiler.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ DEFAULT_BUDGET = 10 ** 9
 
 
 class BudgetExceeded(PfdimError):
-    """Raised when a count would visit more assignments than the budget."""
+    """Raised when a count could take more steps than the budget: counted
+    assignments times the quantifier-loop visits each may make."""
 
 
 class AssignmentError(PfdimError):
@@ -187,15 +188,17 @@ def evaluate(phi: Formula, M: FiniteStructure, assignment: Dict[str, int]) -> bo
 
 
 def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
-          counted_vars: Sequence[str], workers: int = 1,
+          counted_vars: Sequence[str],
           budget: Optional[int] = None) -> Count:
     """Exact number of counted-variable tuples satisfying ``phi``.
 
     ``counted_vars`` (without repeats) and the domain of ``fixed`` must
     partition the free variables of ``phi`` (disjointly), and each fixed
     value must be an element of its variable's sort.  ``phi`` is compiled
-    once and run on every assignment.  ``workers`` is accepted and ignored:
-    enumeration is serial.
+    once and run on every assignment, serially.  The budget (default
+    ``PFDIM_BUDGET``) bounds the steps before any is taken: the number of
+    assignments times one plus the most quantifier-loop visits per
+    assignment.
     """
     fv = free_variables(phi)
     fv_names = [n for n, _ in fv]
@@ -223,18 +226,18 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             raise AssignmentError(
                 f"fixed value {v}={value} is outside sort {sorts[v]} "
                 f"(elements 0..{n - 1})")
-    if not counted_vars:
-        return Count(1 if evaluate(phi, M, fixed) else 0)
-
     domains = []
-    total = 1
+    total = 1 + _loop_visits(phi, M)
     for v in counted_vars:
         n = _sort_size(M, v, sorts[v])
         domains.append(range(n))
         total *= n
     if total > (budget if budget is not None else get_budget()):
         raise BudgetExceeded(
-            f"count would enumerate {total} assignments (budget exceeded)")
+            f"count could take {total} steps, assignments times quantifier "
+            f"visits (budget exceeded)")
+    if not counted_vars:
+        return Count(1 if evaluate(phi, M, fixed) else 0)
 
     # the counted variables' slots follow the fixed ones; the innermost
     # counted variable is set directly
@@ -250,6 +253,17 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
     return Count(hits)
 
 
+def _loop_visits(f: Formula, M: FiniteStructure) -> int:
+    """Most quantifier-loop visits one evaluation of ``f`` can make."""
+    if isinstance(f, (Exists, Forall)):
+        return M.sizes[f.sort] * (1 + _loop_visits(f.body, M))
+    if isinstance(f, Not):
+        return _loop_visits(f.body, M)
+    if isinstance(f, (And, Or, Implies)):
+        return _loop_visits(f.left, M) + _loop_visits(f.right, M)
+    return 0
+
+
 def _sort_size(M: FiniteStructure, var: str, sort: Optional[str]) -> int:
     if sort is None:
         raise AssignmentError(f"variable {var} has no inferred sort; sort_check first")
@@ -261,10 +275,9 @@ def count_family(phi_text: str, family, indices: Sequence[int],
                  budget: Optional[int] = None) -> CardinalitySequence:
     """One exact count per family index, indices sorted and deduplicated.
 
-    Dispatches through the family handle: aggregate (closed-form block)
-    counting where the family supports the formula, otherwise materializes
-    each structure once and enumerates. Selector failures are reported with
-    their index.
+    Each index is counted by ``families.FamilyAt.count``, which chooses
+    the block route or materialize-and-enumerate. Failures are reported
+    with their index.
     """
     # deferred import: families depends on counting for the engine fallback
     from .families import family_count

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counting import CardinalitySequence, Count
-from .families import (FamilyHandle, aggregate_count, family_selector,
-                       family_signature, spectrum_logcounts)
+from .families import (FamilyAt, FamilyError, FamilyHandle,
+                       check_one_counted, spectrum_logcounts)
 from .logic import And, PfdimError, rename_free
 from .parser import parse_formula
 
@@ -134,21 +134,22 @@ class ChainReport:
 def _chain_prefix_counts(family: FamilyHandle, steps, index: int) -> List[int]:
     """Counts of every prefix conjunction of the steps at one index, each
     step parsed once and conjoined onto the previous prefix."""
-    sig = family_signature(family, index)
+    at = FamilyAt(family, index)
     conj = None
     params: Dict[str, object] = {}
     out = []
     for j, (text, selector) in enumerate(steps):
-        phi = parse_formula(text, sig)
+        phi = parse_formula(text, at.signature)
         if selector is not None:
             fresh = f"y{j + 1}"
             phi = rename_free(phi, "y", fresh)
-            params[fresh] = family_selector(family, selector, index)["y"]
+            params[fresh] = at.selector(selector)["y"]
         conj = phi if conj is None else And(conj, phi)
-        result = aggregate_count(family, conj, index, params)
-        if result is None:
-            raise DimensionError("chain formula outside the block fragment")
-        out.append(result.value)
+        try:
+            check_one_counted(conj, params)
+            out.append(at.count(conj, params).value)
+        except FamilyError as exc:
+            raise DimensionError(f"chain formula: {exc}") from exc
     return out
 
 

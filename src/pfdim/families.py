@@ -13,6 +13,10 @@ Every family supports two counting routes:
   beyond any enumeration budget and is cross-checked against the engine at
   small indices in the test suite.
 
+``FamilyAt(family, index).count`` is the one place where a count chooses
+its route: the block summary first, and when that declines, materializing
+and enumerating.  Every family count goes through it.
+
 Block counting has no formula evaluator of its own: it builds the quotient
 structure whose elements are the blocks (``E`` relates blocks of one class,
 ``P<k>`` holds on blocks of level at least ``k``), runs the engine's
@@ -25,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import gf
-from .counting import Count, compile_formula, count as engine_count
+from .counting import (BudgetExceeded, Count, compile_formula,
+                       count as engine_count)
 from .logic import (FiniteStructure, PfdimError, Signature, free_variables,
                     make_signature)
 from .parser import parse_formula
@@ -200,11 +205,7 @@ def family_signature(family: FamilyHandle, index: int) -> Signature:
 
 
 def family_selector(family: FamilyHandle, name: str, index: int) -> Dict[str, ElemRef]:
-    summary = family_summary(family, index)
-    sels = _equiv_selectors(family.family_id)
-    if name not in sels:
-        raise FamilyError(f"{family.family_id}: unknown selector {name!r}")
-    return sels[name](index, summary)
+    return FamilyAt(family, index).selector(name)
 
 
 def generate(family_id: str, index: int) -> FiniteStructure:
@@ -301,16 +302,30 @@ def _quotient(summary, sig: Signature, blocks) -> FiniteStructure:
                            virtual_relations=virtual)
 
 
-def _block_count(summary, sig: Signature, phi,
-                 params: Dict[str, ElemRef]) -> Optional[Count]:
-    """``aggregate_count`` for a summary and signature already at hand."""
-    counted = [n for n, _ in free_variables(phi) if n not in params]
+def counted_variables(phi, params: Dict[str, ElemRef]) -> List[str]:
+    """The free variables of ``phi`` that ``params`` leaves to be counted."""
+    return [n for n, _ in free_variables(phi) if n not in params]
+
+
+def check_one_counted(phi, params: Dict[str, ElemRef]) -> None:
+    """Refuse ``phi`` as a set of single elements when more than one of its
+    free variables is outside ``params``."""
+    counted = counted_variables(phi, params)
     if len(counted) > 1:
-        return None
+        raise FamilyError(f"{len(counted)} counted variables "
+                          f"({', '.join(counted)}); expected at most one")
+
+
+def _block_count(summary, sig: Signature, phi,
+                 params: Dict[str, ElemRef]) -> Union[Count, str]:
+    """The block-route count, or the reason the route declines."""
+    counted = counted_variables(phi, params)
+    if len(counted) > 1:
+        return f"{len(counted)} counted variables"
     if isinstance(summary, EquivSummary):
         blocks = _equiv_blocks(summary, params)
     elif params:
-        return None
+        return "parameters on a nested-predicate family"
     else:
         blocks = _pred_blocks(summary)
     # each parameter sits on the index of its singleton block
@@ -320,7 +335,7 @@ def _block_count(summary, sig: Signature, phi,
     test, env = compile_formula(phi, _quotient(summary, sig, blocks), fixed,
                                 counted)
     if len(env) > len(fixed) + len(counted):
-        return None  # a binder: blocks are not closed under quantification
+        return "a quantifier"  # blocks are not closed under quantification
     if not counted:
         return Count(1 if test(env) else 0)
     x = len(fixed)
@@ -338,61 +353,80 @@ def aggregate_count(family: FamilyHandle, phi, index: int,
     None when the formula is outside the supported fragment: more than one
     counted variable, a quantifier, or parameters on a nested-predicate
     family."""
-    return _block_count(family_summary(family, index),
-                        family_signature(family, index), phi, params)
+    at = FamilyAt(family, index)
+    result = _block_count(at.summary, at.signature, phi, params)
+    return result if isinstance(result, Count) else None
+
+
+class FamilyAt:
+    """One family at one index: its block summary and signature, built
+    once, and the one route chooser for every count at that index."""
+
+    def __init__(self, family: FamilyHandle, index: int):
+        self.family = family
+        self.index = index
+        self.summary = family_summary(family, index)
+        self.signature = family_signature(family, index)
+        self._structure: Optional[FiniteStructure] = None
+
+    def selector(self, name: str) -> Dict[str, ElemRef]:
+        sels = _equiv_selectors(self.family.family_id)
+        if name not in sels:
+            raise FamilyError(
+                f"{self.family.family_id}: unknown selector {name!r}")
+        return sels[name](self.index, self.summary)
+
+    def count(self, phi, params: Dict[str, ElemRef],
+              budget: Optional[int] = None) -> Count:
+        """Exact |phi(M_index, params)| by the block route, else by
+        enumerating the structure (built once) under ``budget``, without
+        the parameters not free in ``phi``.  When neither route can count
+        (too large to build, or over the budget), the ``FamilyError``
+        names both causes."""
+        result = _block_count(self.summary, self.signature, phi, params)
+        if isinstance(result, Count):
+            return result
+        free = [n for n, _ in free_variables(phi)]
+        fixed = {k: v.global_id for k, v in params.items() if k in free}
+        counted = [n for n in free if n not in fixed]
+        try:
+            if self._structure is None:
+                self._structure = generate(self.family.family_id, self.index)
+            return engine_count(phi, self._structure, fixed, counted,
+                                budget=budget)
+        except (FamilyError, BudgetExceeded) as exc:
+            raise FamilyError(
+                f"{exc}, and the block route declines {result}") from None
 
 
 def family_count(family: FamilyHandle, phi_text: str, index: int,
                  selector: Optional[str] = None,
                  budget: Optional[int] = None) -> Count:
-    """Exact |phi(M_index, a)| with parameters chosen by the named selector.
-
-    Prefers the closed-form block route; falls back to materializing the
-    structure and enumerating when the formula is outside the block
-    fragment (and the index is within the materialization budget).  On
-    that route, selector parameters that are not free in the formula are
-    left out.
-    """
-    sig = family_signature(family, index)
-    phi = parse_formula(phi_text, sig)
-    params = family_selector(family, selector, index) if selector else {}
-    agg = aggregate_count(family, phi, index, params)
-    if agg is not None:
-        return agg
-    M = generate(family.family_id, index)
-    free = [n for n, _ in free_variables(phi)]
-    fixed = {k: v.global_id for k, v in params.items() if k in free}
-    counted = [n for n in free if n not in fixed]
-    return engine_count(phi, M, fixed, counted, budget=budget)
+    """Exact |phi(M_index, a)| with parameters chosen by the named selector,
+    counted by ``FamilyAt.count``."""
+    at = FamilyAt(family, index)
+    phi = parse_formula(phi_text, at.signature)
+    return at.count(phi, at.selector(selector) if selector else {}, budget)
 
 
 def spectrum_logcounts(family: FamilyHandle, phi_text: str, index: int) -> List[float]:
     """Sorted distinct log-counts of {phi(x, b) : b in universe}.
 
-    The parameter variable must be 'y'; counts are computed per parameter
-    block (all these families are class-symmetric, so phi(x, b) has the
-    same count for every b in a block).
+    The parameter variable must be 'y', and at most one other variable
+    may be free; counts are computed per parameter block (all these
+    families are class-symmetric, so phi(x, b) has the same count for
+    every b in a block).
     """
-    sig = family_signature(family, index)
-    phi = parse_formula(phi_text, sig)
-    summary = family_summary(family, index)
+    at = FamilyAt(family, index)
+    phi = parse_formula(phi_text, at.signature)
     if family.family_id not in _EQUIV_FAMILIES:
         raise FamilyError("spectrum supported for equivalence families only")
-    fv = [n for n, _ in free_variables(phi)]
-    if "y" not in fv:
-        # dummy parameter: one block of b values, one count
-        c = _block_count(summary, sig, phi, {})
-        if c is None:
-            raise FamilyError("formula outside the block fragment")
-        return [c.log_value]
-    values = set()
-    for ci in range(len(summary.class_sizes)):
-        ref = summary.element(ci)
-        c = _block_count(summary, sig, phi, {"y": ref})
-        if c is None:
-            raise FamilyError("formula outside the block fragment")
-        values.add(c.log_value)
-    return sorted(values)
+    check_one_counted(phi, {"y": None})
+    classes = len(at.summary.class_sizes)
+    if "y" not in dict(free_variables(phi)):
+        classes = 1  # every parameter gives the same count
+    return sorted({at.count(phi, {"y": at.summary.element(ci)}).log_value
+                   for ci in range(classes)})
 
 
 # ---------------------------------------------------------------------------

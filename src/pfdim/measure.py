@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .families import (FamilyHandle, aggregate_count, family_selector,
-                       family_signature)
+from .families import (FamilyAt, FamilyError, FamilyHandle,
+                       counted_variables)
 from .logic import And, PfdimError, rename_free
 from .parser import parse_formula
 
@@ -95,23 +95,32 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
                   d_selector: Optional[str] = None,
                   x_selector: Optional[str] = None) -> List[Fraction]:
     """Exact ratios |X ∩ D| / |D| per index, where D and X are definable
-    sets of single elements (parameters fixed by the named selectors)."""
+    sets of single elements (parameters fixed by the named selectors) in
+    the same counted variable."""
     out = []
     for n in indices:
-        sig = family_signature(family, n)
-        phi_d = parse_formula(d_formula, sig)
-        phi_x = parse_formula(x_formula, sig)
+        at = FamilyAt(family, n)
+        phi_d = parse_formula(d_formula, at.signature)
+        phi_x = parse_formula(x_formula, at.signature)
         params: Dict[str, object] = {}
         if d_selector is not None:
             phi_d = rename_free(phi_d, "y", "yd")
-            params["yd"] = family_selector(family, d_selector, n)["y"]
+            params["yd"] = at.selector(d_selector)["y"]
         if x_selector is not None:
             phi_x = rename_free(phi_x, "y", "yx")
-            params["yx"] = family_selector(family, x_selector, n)["y"]
-        cd = aggregate_count(family, phi_d, n, params)
-        cxd = aggregate_count(family, And(phi_x, phi_d), n, params)
-        if cd is None or cxd is None:
-            raise MeasureError("formula outside the block-counting fragment")
+            params["yx"] = at.selector(x_selector)["y"]
+        phi_xd = And(phi_x, phi_d)
+        d_vars = counted_variables(phi_d, params)
+        xd_vars = counted_variables(phi_xd, params)
+        if len(xd_vars) > 1 or xd_vars != d_vars:
+            raise MeasureError(
+                f"D and X must count at most one variable, the same one: "
+                f"D counts {d_vars}, X and D together {xd_vars}")
+        try:
+            cd = at.count(phi_d, params)
+            cxd = at.count(phi_xd, params)
+        except FamilyError as exc:
+            raise MeasureError(str(exc)) from exc
         if cd.value == 0:
             raise MeasureError(f"D is empty at index {n}")
         out.append(Fraction(cxd.value, cd.value))

@@ -6,20 +6,26 @@ supports, sometimes under one top-level binder; ``y`` and ``z`` are either
 counted or bound to a selector's element or to an arbitrary element.  The
 block route must return the engine's count, and must decline (return
 ``None``) exactly when the formula has two counted variables or a binder,
-or when a ``convsupersimple`` count is given parameters.
+or when a ``convsupersimple`` count is given parameters.  The route
+chooser ``FamilyAt.count`` must return the engine's count either way, and
+the family counts built on it (``chain_detect``, ``fmv_spectrum``,
+``mu_D_sequence``) must too.
 """
 
 import functools
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from pfdim.counting import count
-from pfdim.families import (ElemRef, FamilyError, aggregate_count,
+from pfdim.counting import BudgetExceeded, count
+from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
+from pfdim.families import (ElemRef, FamilyAt, FamilyError, aggregate_count,
                             family_count, family_selector, family_signature,
                             family_summary, generate, get_family,
-                            list_families)
+                            list_families, spectrum_logcounts)
 from pfdim.logic import free_variables
+from pfdim.measure import MeasureError, mu_D_sequence
 from pfdim.parser import parse_formula
 
 FAMILY_IDS = sorted(list_families())
@@ -120,3 +126,147 @@ def test_lumped_block_at_index_64(fid, selector, text, plus):
     expected = (sum(summary.class_sizes)
                 - summary.class_sizes[ref.class_index] + plus)
     assert family_count(family, text, 64, selector=selector).value == expected
+
+
+# ---------------------------------------------------------------------------
+# The route chooser
+
+# steps one enumeration may take here (assignments times quantifier visits)
+ENUMERATION_WORK = 200_000
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_family_at_matches_engine(case):
+    fid, index, text, has_binder, params = case
+    at = FamilyAt(get_family(fid), index)
+    phi = parse_formula(text, at.signature)
+    M = materialized(fid, index)
+    free = [n for n, _ in free_variables(phi)]
+    fixed = {k: v.global_id for k, v in params.items() if k in free}
+    counted = [n for n in free if n not in fixed]
+    try:
+        expected = count(phi, M, fixed, counted, budget=ENUMERATION_WORK)
+    except BudgetExceeded:
+        # only a declined count enumerates, under the same budget
+        with pytest.raises(FamilyError, match="budget exceeded"):
+            at.count(phi, params, budget=ENUMERATION_WORK)
+        event("too large to enumerate")
+        return
+    event("block route" if aggregate_count(at.family, phi, index, params)
+          else "enumerated")
+    assert at.count(phi, params, budget=ENUMERATION_WORK) == expected
+
+
+QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # x's class has 2+ elements
+
+
+def engine_count(fid, text, index, y=None):
+    phi = parse_formula(text, family_signature(get_family(fid), index))
+    return count(phi, materialized(fid, index),
+                 {} if y is None else {"y": y}, ["x"])
+
+
+@pytest.mark.parametrize("fid,selector", [("earlyexample", "largest-class"),
+                                          ("rank2classes", "big-class")])
+def test_consumers_count_quantified_formulas(fid, selector):
+    family = get_family(fid)
+    indices = [2, 3, 4]
+    ys = [family_selector(family, selector, n)["y"].global_id
+          for n in indices]
+
+    report = chain_detect(family, [(QUANTIFIED, None),
+                                   ("E(x, y)", selector)], indices)
+    assert report.log_counts == (
+        tuple(engine_count(fid, QUANTIFIED, n).log_value for n in indices),
+        tuple(engine_count(fid, f"{QUANTIFIED} & E(x, y)", n, y).log_value
+              for n, y in zip(indices, ys)))
+
+    spectrum = "exists z:S. E(x, z) & E(z, y)"
+    report = fmv_spectrum(family, spectrum, indices)
+    assert report.log_counts == tuple(
+        tuple(sorted({engine_count(fid, spectrum, n, b).log_value
+                      for b in range(materialized(fid, n).sizes["S"])}))
+        for n in indices)
+
+    ratios = mu_D_sequence(family, QUANTIFIED, "E(x, y)", indices,
+                           x_selector=selector)
+    assert ratios == [
+        Fraction(engine_count(fid, f"E(x, y) & {QUANTIFIED}", n, y).value,
+                 engine_count(fid, QUANTIFIED, n).value)
+        for n, y in zip(indices, ys)]
+
+
+def test_spectrum_without_y_is_one_count():
+    family = get_family("findelta")
+    assert spectrum_logcounts(family, "E(x, x)", 64) == [
+        family_count(family, "E(x, x)", 64).log_value]
+    assert spectrum_logcounts(get_family("earlyexample"), QUANTIFIED, 4) == [
+        engine_count("earlyexample", QUANTIFIED, 4).log_value]
+
+
+@pytest.mark.parametrize("fid,text,params,reason", [
+    ("stablenonattainability", "E(x, y)", {}, "2 counted variables"),
+    ("stablenonattainability", "E(x, x) | exists z:S. E(z, x)", {},
+     "a quantifier"),
+    ("convsupersimple", "P1(x) & !(x = y)", {"y": ElemRef(0, 0, 0)},
+     "parameters on a nested-predicate family"),
+])
+def test_decline_reason_in_error(fid, text, params, reason):
+    at = FamilyAt(get_family(fid), 8)
+    with pytest.raises(FamilyError) as info:
+        at.count(parse_formula(text, at.signature), params)
+    assert "size budget exceeded" in str(info.value)
+    assert f"the block route declines {reason}" in str(info.value)
+
+
+def test_consumers_keep_their_errors_when_neither_route_counts():
+    family = get_family("stablenonattainability")
+    with pytest.raises(DimensionError, match="a quantifier"):
+        chain_detect(family, [(QUANTIFIED, None)], [8])
+    with pytest.raises(MeasureError, match="size budget exceeded"):
+        mu_D_sequence(family, QUANTIFIED, "E(x, x)", [8])
+    with pytest.raises(FamilyError, match="a quantifier"):
+        spectrum_logcounts(family, "exists z:S. E(x, z) & E(z, y)", 8)
+
+
+def test_consumers_refuse_a_second_counted_variable():
+    family = get_family("earlyexample")
+    pair = "E(x, z) & E(z, y)"   # z is counted next to x
+    with pytest.raises(DimensionError, match="2 counted variables"):
+        chain_detect(family, [("E(x, y)", None)], [2])
+    with pytest.raises(DimensionError, match="2 counted variables"):
+        chain_detect(family, [(pair, "largest-class")], [2])
+    with pytest.raises(FamilyError, match="2 counted variables"):
+        spectrum_logcounts(family, pair, 2)
+    with pytest.raises(MeasureError, match=r"D counts \['x', 'y'\]"):
+        mu_D_sequence(family, "E(x, y)", "E(x, x)", [2])
+    with pytest.raises(MeasureError, match=r"together \['x', 'y'\]"):
+        mu_D_sequence(family, "E(x, x)", "E(x, y)", [2])
+    with pytest.raises(MeasureError,
+                       match=r"D counts \[\], X and D together \['x'\]"):
+        mu_D_sequence(family, "E(y, y)", "E(x, y)", [2],
+                      d_selector="class-1", x_selector="class-1")
+
+
+def test_large_materializable_index_fails_fast():
+    # 46,656 elements: a binder over them at every assignment is about
+    # 2.2e9 steps, over the default budget, so nothing is enumerated
+    family = get_family("convsupersimple")
+    step = "exists z:S. P1(z) & !(z = x)"
+    with pytest.raises(DimensionError, match="budget exceeded.*a quantifier"):
+        chain_detect(family, [(step, None)], [6])
+    with pytest.raises(FamilyError, match="budget exceeded.*a quantifier"):
+        family_count(family, step, 6)
+
+
+def test_consumers_turn_an_exceeded_budget_into_their_errors(monkeypatch):
+    monkeypatch.setenv("PFDIM_BUDGET", "10")
+    family = get_family("earlyexample")
+    with pytest.raises(DimensionError, match="budget exceeded"):
+        chain_detect(family, [(QUANTIFIED, None)], [2])
+    with pytest.raises(MeasureError, match="budget exceeded"):
+        mu_D_sequence(family, QUANTIFIED, "E(x, x)", [2])
+    with pytest.raises(FamilyError, match="budget exceeded"):
+        spectrum_logcounts(family, "exists z:S. E(x, z) & E(z, y)", 2)

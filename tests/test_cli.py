@@ -112,6 +112,17 @@ class TestOracles:
         assert code == 0
         assert json.loads(out)["cases"]
 
+    @pytest.mark.parametrize("n,m", [("0", "1"), ("1", "0"), ("-1", "2")])
+    def test_abelian_symbolic_refuses_empty_group(self, capsys, n, m):
+        # bad input is refused before the guard check, whose failure would
+        # mean a defect in the catalog
+        code, out, err = run(capsys, "abelian-count", "--p", "2", "--n", n,
+                             "--m", m, "--r", "1", "--s", "0",
+                             "--formula", "1*x1 = 0", "--symbolic")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: need n >= 1 and m >= 1"
+
     def test_vs_count(self, capsys):
         code, out, _ = run(capsys, "vs-count", "--q", "2", "--dim", "3",
                            "--w", "1", "--wprime", "")

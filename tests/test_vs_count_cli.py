@@ -204,3 +204,15 @@ class TestInputErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize("theta", [["--w", "1"], ["--wprime", "2"],
+                                       ["--w", "1", "--wprime", "2"],
+                                       ["--wprime", ""]])
+    def test_coset_spec_with_theta_ids(self, capsys, tmp_path, theta):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"include": [{"point": [0, 0]}]}))
+        code, out, err = run(capsys, "vs-count", "--q", "2", "--dim", "2",
+                             *theta, "--coset-spec", str(path))
+        assert code == 1
+        assert out == ""
+        assert "--coset-spec" in err and "--w/--wprime" in err
