@@ -211,6 +211,9 @@ def exact_count(atoms: Sequence[StandardAtom],
                 p: int, n: int, m: int) -> Count:
     """|{x in G : conjunction holds}| for one counted variable, by the
     coset-chain case analysis — no element enumeration."""
+    if any(a.term.r != 1 for a in atoms):
+        raise AbelianError("the exact count takes one counted variable "
+                           "(r = 1); use the symbolic route for r > 1")
     _check_prime(p)
     if n < 1 or m < 1:
         raise AbelianError("need n >= 1 and m >= 1")
@@ -272,9 +275,6 @@ class ExponentPolynomial:
         for (i, j), _c in self.coeffs:
             if not (0 <= i <= self.k and -self.k * self.d <= j <= self.k * self.d):
                 raise AbelianError(f"index ({i},{j}) outside S({self.d},{self.k})")
-
-    def coeff_dict(self) -> Dict[Tuple[int, int], int]:
-        return dict(self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "d": self.d,

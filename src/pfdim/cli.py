@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -29,6 +30,15 @@ def _parse_indices(text: str) -> List[int]:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise PfdimError(f"bad index list {text!r}")
+
+
+def nonnegative(text: str) -> float:
+    """A finite float >= 0: --tau and --gamma are echoed as JSON."""
+    value = float(text)   # argparse reports a ValueError as invalid input
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite nonnegative number")
+    return value
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula-y", required=True)
     p.add_argument("--selector-y")
     p.add_argument("--indices", required=True)
-    p.add_argument("--tau", type=float, default=dimension.TAU_DEFAULT)
+    p.add_argument("--tau", type=nonnegative, default=dimension.TAU_DEFAULT)
     p.add_argument("--budget", type=int, default=None, help=budget_help)
     p.set_defaults(func=_cmd_dim_compare)
 
@@ -294,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", action="append", required=True,
                    help="formula[@selector], repeatable")
     p.add_argument("--indices", required=True)
-    p.add_argument("--tau", type=float, default=dimension.TAU_DEFAULT)
+    p.add_argument("--tau", type=nonnegative, default=dimension.TAU_DEFAULT)
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("spectrum", help="per-parameter log-count spectrum")
     p.add_argument("--family", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--indices", required=True)
-    p.add_argument("--gamma", type=float, default=dimension.GAMMA_DEFAULT)
+    p.add_argument("--gamma", type=nonnegative, default=dimension.GAMMA_DEFAULT)
     p.add_argument("--csv", help="write (index, series, logCount) rows here")
     p.set_defaults(func=_cmd_spectrum)
 

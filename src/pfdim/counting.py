@@ -280,16 +280,13 @@ def count_family(phi_text: str, family, indices: Sequence[int],
     with their index.
     """
     # deferred import: families depends on counting for the engine fallback
-    from .families import family_count
+    from .families import family_sequence
 
-    points = []
-    for idx in sorted(set(indices)):
-        try:
-            c = family_count(family, phi_text, idx, selector=selector,
-                             budget=budget)
-        except PfdimError as exc:
-            raise PfdimError(f"index {idx}: {exc}") from exc
-        points.append((idx, c))
+    def count_at(at):
+        (phi, params), = at.conjunctions([(phi_text, selector)])
+        return at.count(phi, params, budget)
+
     return CardinalitySequence(
         family_id=family.family_id, formula_text=phi_text,
-        selector=selector or "", points=tuple(points))
+        selector=selector or "",
+        points=tuple(family_sequence(family, indices, count_at)))

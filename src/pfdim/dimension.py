@@ -14,13 +14,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .counting import CardinalitySequence, Count
-from .families import (FamilyAt, FamilyError, FamilyHandle,
-                       check_one_counted, spectrum_logcounts)
-from .logic import And, PfdimError, rename_free
-from .parser import parse_formula
+from .counting import CardinalitySequence
+from .families import (FamilyError, FamilyHandle, check_one_counted,
+                       family_sequence)
+from .logic import PfdimError
 
 TAU_DEFAULT = math.log(100.0)
 GAMMA_DEFAULT = 0.2
@@ -131,58 +130,43 @@ class ChainReport:
                 "dropLength": self.drop_length, "tau": self.tau}
 
 
-def _chain_prefix_counts(family: FamilyHandle, steps, index: int) -> List[int]:
-    """Counts of every prefix conjunction of the steps at one index, each
-    step parsed once and conjoined onto the previous prefix."""
-    at = FamilyAt(family, index)
-    conj = None
-    params: Dict[str, object] = {}
-    out = []
-    for j, (text, selector) in enumerate(steps):
-        phi = parse_formula(text, at.signature)
-        if selector is not None:
-            fresh = f"y{j + 1}"
-            phi = rename_free(phi, "y", fresh)
-            params[fresh] = at.selector(selector)["y"]
-        conj = phi if conj is None else And(conj, phi)
-        try:
-            check_one_counted(conj, params)
-            out.append(at.count(conj, params).value)
-        except FamilyError as exc:
-            raise DimensionError(f"chain formula: {exc}") from exc
-    return out
-
-
 def chain_detect(family: FamilyHandle,
                  steps: Sequence[Tuple[str, Optional[str]]],
                  indices: Sequence[int],
                  tau: float = TAU_DEFAULT,
                  burn_in: Optional[int] = None) -> ChainReport:
-    """Sizes of the nested conjunctions of the given instance steps, and
-    the longest prefix along which each step strictly drops the dimension
-    (consecutive 'greater' verdicts).  A zero count terminates the chain.
+    """Sizes of the nested conjunctions of the given instance steps at the
+    sorted distinct indices, and the longest prefix along which each step
+    strictly drops the dimension (consecutive 'greater' verdicts).  A zero
+    count terminates the chain.
     """
     steps = tuple((f, s) for f, s in steps)
-    indices = tuple(indices)
-    per_index = [_chain_prefix_counts(family, steps, n) for n in indices]
-    counts = [[row[i] for row in per_index] for i in range(len(steps))]
-    rows = [tuple(math.log(c) if c else NEG_INF for c in per_step)
-            for per_step in counts]
-    verdicts = []
-    for i in range(len(steps) - 1):
-        seq_a = CardinalitySequence(family.family_id, steps[i][0], steps[i][1],
-                                    tuple(zip(indices, map(Count, counts[i]))))
-        seq_b = CardinalitySequence(family.family_id, steps[i + 1][0],
-                                    steps[i + 1][1],
-                                    tuple(zip(indices, map(Count, counts[i + 1]))))
-        verdicts.append(delta_compare(seq_a, seq_b, tau, burn_in).classification)
+
+    def prefix_counts(at):
+        counts = []
+        for phi, params in at.conjunctions(steps):
+            try:
+                check_one_counted(phi, params)
+                counts.append(at.count(phi, params))
+            except FamilyError as exc:
+                raise DimensionError(f"chain formula: {exc}") from exc
+        return counts
+
+    points = family_sequence(family, indices, prefix_counts)
+    seqs = [CardinalitySequence(family.family_id, text, selector,
+                                tuple((n, row[j]) for n, row in points))
+            for j, (text, selector) in enumerate(steps)]
+    verdicts = [delta_compare(a, b, tau, burn_in).classification
+                for a, b in zip(seqs, seqs[1:])]
     drop = 1
-    for i, v in enumerate(verdicts):
-        if all(c > 0 for c in counts[i + 1]) and v == "greater":
+    for seq, v in zip(seqs[1:], verdicts):
+        if v == "greater" and all(c.value > 0 for _, c in seq.points):
             drop += 1
         else:
             break
-    return ChainReport(steps, indices, tuple(rows), tuple(verdicts), drop, tau)
+    return ChainReport(steps, tuple(n for n, _ in points),
+                       tuple(tuple(seq.log_values) for seq in seqs),
+                       tuple(verdicts), drop, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +203,20 @@ def cluster_count(values: Sequence[float], gamma: float) -> int:
 def fmv_spectrum(family: FamilyHandle, phi_text: str,
                  indices: Sequence[int],
                  gamma: float = GAMMA_DEFAULT) -> SpectrumReport:
-    """Distinct log-counts of {phi(x, b) : b} per index, clustered with gap
-    gamma.  The 'unbounded' flag marks a cluster count that strictly
-    increases across every sampled index — evidence against the family
-    having finitely many dimension values for this formula."""
-    indices = tuple(indices)
-    rows = []
-    clusters = []
-    for n in indices:
-        logs = spectrum_logcounts(family, phi_text, n)
-        rows.append(tuple(logs))
-        clusters.append(cluster_count(logs, gamma))
+    """Distinct log-counts of {phi(x, b) : b} at each of the sorted
+    distinct indices, clustered with gap gamma.  The 'unbounded' flag marks
+    a cluster count that strictly increases across every sampled index —
+    evidence against the family having finitely many dimension values for
+    this formula."""
+    points = family_sequence(family, indices,
+                             lambda at: tuple(at.spectrum(phi_text)))
+    rows = tuple(logs for _, logs in points)
+    clusters = tuple(cluster_count(logs, gamma) for logs in rows)
     unbounded = (len(clusters) >= 2
                  and all(b > a for a, b in zip(clusters, clusters[1:])))
-    return SpectrumReport(family.family_id, phi_text, indices, tuple(rows),
-                          tuple(clusters), gamma, unbounded)
+    return SpectrumReport(family.family_id, phi_text,
+                          tuple(n for n, _ in points), rows, clusters, gamma,
+                          unbounded)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ Every family supports two counting routes:
 
 ``FamilyAt(family, index).count`` is the one place where a count chooses
 its route: the block summary first, and when that declines, materializing
-and enumerating.  Every family count goes through it.
+and enumerating.  Every family count goes through it, every formula text
+is parsed by ``FamilyAt.conjunctions``, and every count sequence loops
+over its indices in ``family_sequence``.
 
 Block counting has no formula evaluator of its own: it builds the quotient
 structure whose elements are the blocks (``E`` relates blocks of one class,
@@ -29,18 +31,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf
 from .counting import (BudgetExceeded, Count, compile_formula,
                        count as engine_count)
-from .logic import (FiniteStructure, PfdimError, Signature, free_variables,
-                    make_signature)
+from .logic import (And, FiniteStructure, Formula, PfdimError, Signature,
+                    free_variables, make_signature, rename_free)
 from .parser import parse_formula
 from .vspace import Ambient
 
 MAX_UNIVERSE = 200_000
 MAX_TABLE_ENTRIES = 2_000_000
+# A summary whose sizes would take more bits than this is refused before it
+# is built (findelta at 10^5 would not fit in memory; at 64 it takes 1.8M).
+MAX_SUMMARY_BITS = 1 << 24
 
 
 class FamilyError(PfdimError):
@@ -89,9 +94,6 @@ class NestedPredSummary:
     strictly decreasing; level of an element = largest i with x in P_i."""
     total: int
     pred_sizes: Tuple[int, ...]  # |P_1|, |P_2|, ...
-
-
-Summary = object
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +186,24 @@ def get_family(family_id: str) -> FamilyHandle:
 
 
 def family_summary(family: FamilyHandle, index: int):
+    fid = family.family_id
+    if fid not in _EQUIV_FAMILIES and fid != "convsupersimple":
+        raise FamilyError(f"unknown familyId {fid!r}")
     if index < 1:
         raise FamilyError("index must be >= 1")
-    if family.family_id in _EQUIV_FAMILIES:
-        return EquivSummary(_EQUIV_FAMILIES[family.family_id](index))
-    if family.family_id == "convsupersimple":
-        return NestedPredSummary(
-            total=index ** index,
-            pred_sizes=tuple(index ** (index - i) for i in range(1, index + 1)))
-    raise FamilyError(f"unknown familyId {family.family_id!r}")
+    n = index   # the summary holds `sizes` sizes, the largest n^e
+    sizes, e = {"earlyexample": (n, 2), "stablenonattainability": (n, n),
+                "findelta": (n * n, n), "rank2classes": (n + 1, 2),
+                "convsupersimple": (n + 1, n)}[fid]
+    bits = sizes * e * n.bit_length()
+    if bits > MAX_SUMMARY_BITS:
+        raise FamilyError(f"{fid}: the summary would take about {bits} bits, "
+                          f"over the limit of {MAX_SUMMARY_BITS}")
+    if fid in _EQUIV_FAMILIES:
+        return EquivSummary(_EQUIV_FAMILIES[fid](index))
+    return NestedPredSummary(
+        total=index ** index,
+        pred_sizes=tuple(index ** (index - i) for i in range(1, index + 1)))
 
 
 def family_signature(family: FamilyHandle, index: int) -> Signature:
@@ -360,7 +371,8 @@ def aggregate_count(family: FamilyHandle, phi, index: int,
 
 class FamilyAt:
     """One family at one index: its block summary and signature, built
-    once, and the one route chooser for every count at that index."""
+    once, the one place a step's formula text becomes a formula, and the
+    one route chooser for every count at that index."""
 
     def __init__(self, family: FamilyHandle, index: int):
         self.family = family
@@ -375,6 +387,22 @@ class FamilyAt:
             raise FamilyError(
                 f"{self.family.family_id}: unknown selector {name!r}")
         return sels[name](self.index, self.summary)
+
+    def conjunctions(self, steps: Sequence[Tuple[str, Optional[str]]]
+                     ) -> List[Tuple[Formula, Dict[str, ElemRef]]]:
+        """``(phi, params)`` for each prefix conjunction of the
+        ``(formula text, selector)`` steps, each text parsed at this index.
+        A step with a selector has its ``y`` renamed to ``y#<step>``, a
+        name no formula text can use, fixed to the selector's element."""
+        out: List[Tuple[Formula, Dict[str, ElemRef]]] = []
+        params: Dict[str, ElemRef] = {}
+        for j, (text, selector) in enumerate(steps, start=1):
+            phi = parse_formula(text, self.signature)
+            if selector:
+                phi = rename_free(phi, "y", f"y#{j}")
+                params = {**params, f"y#{j}": self.selector(selector)["y"]}
+            out.append((And(out[-1][0], phi) if out else phi, params))
+        return out
 
     def count(self, phi, params: Dict[str, ElemRef],
               budget: Optional[int] = None) -> Count:
@@ -398,6 +426,42 @@ class FamilyAt:
             raise FamilyError(
                 f"{exc}, and the block route declines {result}") from None
 
+    def spectrum(self, phi_text: str) -> List[float]:
+        """Sorted distinct log-counts of {phi(x, b) : b in universe}.
+
+        The parameter variable must be 'y', and at most one other variable
+        may be free; counts are computed per parameter block (all these
+        families are class-symmetric, so phi(x, b) has the same count for
+        every b in a block).
+        """
+        (phi, _), = self.conjunctions([(phi_text, None)])
+        if self.family.family_id not in _EQUIV_FAMILIES:
+            raise FamilyError(
+                "spectrum supported for equivalence families only")
+        check_one_counted(phi, {"y": None})
+        classes = len(self.summary.class_sizes)
+        if "y" not in dict(free_variables(phi)):
+            classes = 1  # every parameter gives the same count
+        element = self.summary.element
+        return sorted({self.count(phi, {"y": element(ci)}).log_value
+                       for ci in range(classes)})
+
+
+def family_sequence(family: FamilyHandle, indices: Sequence[int],
+                    at_index: Callable[[FamilyAt], object]) -> list:
+    """``(n, at_index(FamilyAt(family, n)))`` for each distinct index ``n``
+    in increasing order: the one loop over a family's indices.  An error at
+    an index keeps its type, and its message starts with ``index n:``
+    (a parse diagnostic keeps its line:column form)."""
+    out = []
+    for n in sorted(set(indices)):
+        try:
+            out.append((n, at_index(FamilyAt(family, n))))
+        except PfdimError as exc:
+            exc.args = (f"index {n}: {exc}",)
+            raise
+    return out
+
 
 def family_count(family: FamilyHandle, phi_text: str, index: int,
                  selector: Optional[str] = None,
@@ -405,28 +469,13 @@ def family_count(family: FamilyHandle, phi_text: str, index: int,
     """Exact |phi(M_index, a)| with parameters chosen by the named selector,
     counted by ``FamilyAt.count``."""
     at = FamilyAt(family, index)
-    phi = parse_formula(phi_text, at.signature)
-    return at.count(phi, at.selector(selector) if selector else {}, budget)
+    (phi, params), = at.conjunctions([(phi_text, selector)])
+    return at.count(phi, params, budget)
 
 
 def spectrum_logcounts(family: FamilyHandle, phi_text: str, index: int) -> List[float]:
-    """Sorted distinct log-counts of {phi(x, b) : b in universe}.
-
-    The parameter variable must be 'y', and at most one other variable
-    may be free; counts are computed per parameter block (all these
-    families are class-symmetric, so phi(x, b) has the same count for
-    every b in a block).
-    """
-    at = FamilyAt(family, index)
-    phi = parse_formula(phi_text, at.signature)
-    if family.family_id not in _EQUIV_FAMILIES:
-        raise FamilyError("spectrum supported for equivalence families only")
-    check_one_counted(phi, {"y": None})
-    classes = len(at.summary.class_sizes)
-    if "y" not in dict(free_variables(phi)):
-        classes = 1  # every parameter gives the same count
-    return sorted({at.count(phi, {"y": at.summary.element(ci)}).log_value
-                   for ci in range(classes)})
+    """``FamilyAt.spectrum`` at one index; errors name the index."""
+    return family_sequence(family, [index], lambda at: at.spectrum(phi_text))[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +545,7 @@ def make_vector_space(q: int, dim: int) -> FiniteStructure:
         signature=sig, sizes={"K": q, "V": nvec},
         relations=relations, functions=functions,
         constants={"zeroK": 0, "oneK": 1, "zeroV": 0},
-        virtual_relations=virtual,
-        display={"V": vecs})
+        virtual_relations=virtual)
 
 
 # ---------------------------------------------------------------------------
@@ -548,5 +596,4 @@ def make_homocyclic(p: int, n: int, m: int) -> FiniteStructure:
             "neg": {(a,): encode(tuple((-x) % mod for x in elems[a]))
                     for a in range(order)},
         },
-        constants={"zero": 0},
-        display={"G": elems})
+        constants={"zero": 0})

@@ -27,9 +27,6 @@ class Group:
         if any(self.mul[0][g] != g or self.mul[g][0] != g for g in range(self.n)):
             raise PfdimError(f"{self.name}: element 0 is not an identity")
 
-    def conjugate(self, g: int, h: int) -> int:
-        return self.mul[self.mul[h][g]][self.inv[h]]
-
 
 def _perm_group(name: str, perms: List[tuple]) -> Group:
     """Group from a list of permutation tuples; identity must come first

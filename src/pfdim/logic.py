@@ -1,8 +1,7 @@
 """Signatures, multi-sorted finite structures, and the first-order formula AST.
 
-Elements of a structure are dense integer ids ``0..size-1`` per sort; any
-semantic labels (field elements, group tuples) live in an optional display
-table.  Signatures and structures are immutable after construction so they
+Elements of a structure are dense integer ids ``0..size-1`` per sort.
+Signatures and structures are immutable after construction so they
 can be shared freely.
 """
 
@@ -10,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 
 class PfdimError(Exception):
@@ -339,7 +338,6 @@ class FiniteStructure:
     constants: Mapping[str, int]                   # name -> id
     virtual_relations: Mapping[str, Callable[[tuple], bool]] = field(
         default_factory=dict, compare=False)
-    display: Mapping[str, Sequence] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         sig = self.signature

@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .families import (FamilyAt, FamilyError, FamilyHandle,
-                       counted_variables)
-from .logic import And, PfdimError, rename_free
-from .parser import parse_formula
+from .families import (FamilyError, FamilyHandle, counted_variables,
+                       family_sequence)
+from .logic import PfdimError
 
 K_CAP = 5
 N_CAP = 24
@@ -34,7 +33,8 @@ class MeasureError(PfdimError):
 
 
 class HypothesisError(MeasureError):
-    """The inputs violate the bound's hypotheses (not a theorem failure)."""
+    """The inputs violate the bound's hypotheses or the search's limits
+    (not a theorem failure)."""
 
 
 Event = FrozenSet[int]
@@ -81,9 +81,12 @@ def space_from_json(text: str) -> Tuple[FiniteMeasureSpace, List[Event]]:
     try:
         weights = tuple(Fraction(w) for w in data["weights"])
         events = [frozenset(int(a) for a in e) for e in data.get("events", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MeasureError(f"malformed measure-space JSON: {exc}") from exc
-    return FiniteMeasureSpace(weights), events
+    space = FiniteMeasureSpace(weights)
+    if any(not 0 <= a < space.atoms for e in events for a in e):
+        raise MeasureError("an event references an atom outside the space")
+    return space, events
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +97,12 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
                   indices: Sequence[int],
                   d_selector: Optional[str] = None,
                   x_selector: Optional[str] = None) -> List[Fraction]:
-    """Exact ratios |X ∩ D| / |D| per index, where D and X are definable
-    sets of single elements (parameters fixed by the named selectors) in
-    the same counted variable."""
-    out = []
-    for n in indices:
-        at = FamilyAt(family, n)
-        phi_d = parse_formula(d_formula, at.signature)
-        phi_x = parse_formula(x_formula, at.signature)
-        params: Dict[str, object] = {}
-        if d_selector is not None:
-            phi_d = rename_free(phi_d, "y", "yd")
-            params["yd"] = at.selector(d_selector)["y"]
-        if x_selector is not None:
-            phi_x = rename_free(phi_x, "y", "yx")
-            params["yx"] = at.selector(x_selector)["y"]
-        phi_xd = And(phi_x, phi_d)
+    """Exact ratios |X ∩ D| / |D| at the sorted distinct indices, where D
+    and X are definable sets of single elements (parameters fixed by the
+    named selectors) in the same counted variable."""
+    def ratio(at):
+        (phi_d, _), (phi_xd, params) = at.conjunctions(
+            [(d_formula, d_selector), (x_formula, x_selector)])
         d_vars = counted_variables(phi_d, params)
         xd_vars = counted_variables(phi_xd, params)
         if len(xd_vars) > 1 or xd_vars != d_vars:
@@ -122,9 +115,10 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
         except FamilyError as exc:
             raise MeasureError(str(exc)) from exc
         if cd.value == 0:
-            raise MeasureError(f"D is empty at index {n}")
-        out.append(Fraction(cxd.value, cd.value))
-    return out
+            raise MeasureError("D is empty")
+        return Fraction(cxd.value, cd.value)
+
+    return [r for _, r in family_sequence(family, indices, ratio)]
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +156,9 @@ def find_k_intersection(space: FiniteMeasureSpace, events: Sequence[Event],
     only when the subset budget is exhausted — when the hypotheses hold a
     witness always exists, so a clean miss indicates a bug."""
     if not 1 <= k <= K_CAP:
-        raise MeasureError(f"k must be in 1..{K_CAP}")
+        raise HypothesisError(f"k must be in 1..{K_CAP}")
     if len(events) > N_CAP:
-        raise MeasureError(f"at most {N_CAP} events supported")
+        raise HypothesisError(f"at most {N_CAP} events supported")
     if len(events) < k:
         raise HypothesisError("fewer events than k")
     measures, eps = _check_hypotheses(space, events)

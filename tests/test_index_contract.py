@@ -1,0 +1,112 @@
+"""One index contract for every count sequence along a family.
+
+``count_family``, ``chain_detect``, ``fmv_spectrum`` and ``mu_D_sequence``
+all loop over indices through ``families.family_sequence``: they count at
+the sorted distinct indices whatever order and repeats they are given,
+build one ``FamilyAt`` per index, and an error names the index it came
+from and keeps its type.
+"""
+
+import json
+import random
+
+import pytest
+
+from pfdim import families
+from pfdim.cli import main
+from pfdim.counting import count_family
+from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
+from pfdim.families import FamilyAt, FamilyError, get_family, spectrum_logcounts
+from pfdim.measure import MeasureError, mu_D_sequence
+
+QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # the block route declines
+INDICES = [2, 3, 4, 8]
+
+
+def consumers(family):
+    """Each consumer as a function of its index list, with one quantified
+    formula among its inputs, so both counting routes are covered."""
+    return {
+        "count_family": lambda ix: count_family(QUANTIFIED, family, ix),
+        "count_family selector": lambda ix: count_family(
+            "E(x, y)", family, ix, selector="class-2"),
+        "chain_detect": lambda ix: chain_detect(
+            family, [(QUANTIFIED, None), ("E(x, y)", "largest-class")], ix),
+        "fmv_spectrum": lambda ix: fmv_spectrum(
+            family, "exists z:S. E(x, z) & E(z, y)", ix),
+        "mu_D_sequence": lambda ix: mu_D_sequence(
+            family, QUANTIFIED, "E(x, y)", ix, x_selector="largest-class"),
+    }
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_shuffled_repeated_indices_give_the_sorted_result(seed):
+    rng = random.Random(seed)
+    mixed = INDICES + rng.sample(INDICES, 2)
+    rng.shuffle(mixed)
+    for name, run in consumers(get_family("earlyexample")).items():
+        assert run(mixed) == run(INDICES), name
+
+
+def test_one_family_at_per_index(monkeypatch):
+    built = []
+    init = FamilyAt.__init__
+
+    def counting_init(self, family, index):
+        built.append(index)
+        init(self, family, index)
+
+    monkeypatch.setattr(FamilyAt, "__init__", counting_init)
+    for name, run in consumers(get_family("earlyexample")).items():
+        built.clear()
+        run([3, 2, 3, 2])
+        assert built == [2, 3], name
+
+
+def test_errors_name_their_index_and_keep_their_type():
+    family = get_family("earlyexample")
+    with pytest.raises(DimensionError, match=r"^index 2: chain formula: "
+                                             r"2 counted variables"):
+        chain_detect(family, [("E(x, y)", None)], [3, 2])
+    with pytest.raises(MeasureError, match=r"^index 4: D is empty"):
+        mu_D_sequence(family, "E(x, y) & !(x = y)", "E(x, x)", [8, 4],
+                      d_selector="class-1")
+    with pytest.raises(FamilyError, match=r"^index 4: class 5 absent"):
+        count_family("E(x, y)", family, [6, 5, 4], selector="class-5")
+    stable = get_family("stablenonattainability")
+    with pytest.raises(FamilyError, match=r"^index 8: .*a quantifier"):
+        spectrum_logcounts(stable, "exists z:S. E(x, z) & E(z, y)", 8)
+    with pytest.raises(FamilyError, match=r"^index 8: .*a quantifier"):
+        fmv_spectrum(stable, "exists z:S. E(x, z) & E(z, y)", [8])
+
+
+def test_selector_parameters_cannot_collide_with_formula_variables():
+    # the second step's free y1 is counted, not the first step's selector
+    at = FamilyAt(get_family("earlyexample"), 3)
+    (_, params), (phi, both) = at.conjunctions(
+        [("E(x, y)", "class-1"), ("E(x, y1)", None)])
+    assert families.counted_variables(phi, both) == ["x", "y1"]
+    assert params == both
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_chain_cli_sorts_indices_for_any_number_of_steps(capsys):
+    code, out = run_cli(capsys, "chain", "--family", "earlyexample",
+                        "--indices", "16,8,12,10", "--step", "E(x,x)",
+                        "--step", "E(x,y)@class-1")
+    assert code == 0
+    assert json.loads(out)["indices"] == [8, 10, 12, 16]
+
+
+def test_spectrum_cli_sorts_and_deduplicates(capsys):
+    code, out = run_cli(capsys, "spectrum", "--family", "findelta",
+                        "--formula", "E(x, y)", "--indices", "8,8,3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["indices"] == [3, 8]
+    assert data["clusterCounts"] == [3, 8]
+    assert data["unbounded"] is True

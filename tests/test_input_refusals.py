@@ -1,0 +1,128 @@
+"""Bad input exits 1 with a message: it is never reported as a failed
+cross-check (exit 2), never miscounted, and never left to exhaust memory
+or time."""
+
+import json
+import time
+
+import pytest
+
+from pfdim.cli import main
+from pfdim.families import (FamilyError, MAX_SUMMARY_BITS, family_summary,
+                            get_family, list_families)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def space(tmp_path):
+    def write(weights, events):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"weights": weights, "events": events}))
+        return str(path)
+    return write
+
+
+class TestMeasureKcap:
+    @pytest.mark.parametrize("k", ["0", "9"])
+    def test_k_out_of_range_exits_one(self, capsys, space, k):
+        path = space(["1/2", "1/2"], [[0], [1], [0, 1]])
+        code, out, err = run(capsys, "measure-kcap", "--space", path, "--k", k)
+        assert (code, out) == (1, "")
+        assert "k must be in 1..5" in err
+
+    def test_too_many_events_exits_one(self, capsys, space):
+        path = space(["1/2", "1/2"], [[0]] * 25)
+        code, out, err = run(capsys, "measure-kcap", "--space", path,
+                             "--k", "2")
+        assert (code, out) == (1, "")
+        assert "at most 24 events" in err
+
+    @pytest.mark.parametrize("command,arg", [("measure-kcap", ["--k", "2"]),
+                                             ("pairwise-check",
+                                              ["--eps", "1/2"])])
+    def test_event_outside_the_space_exits_one(self, capsys, space, command,
+                                               arg):
+        path = space(["1/2", "1/2"], [[0], [7]])
+        code, out, err = run(capsys, command, "--space", path, *arg)
+        assert (code, out) == (1, "")
+        assert "outside the space" in err
+
+    def test_zero_denominator_weight_exits_one(self, capsys, space):
+        path = space(["1/0", "1/2"], [[0]])
+        code, out, err = run(capsys, "measure-kcap", "--space", path,
+                             "--k", "1")
+        assert (code, out) == (1, "")
+        assert "malformed measure-space JSON" in err
+
+
+class TestAbelianR:
+    ARGS = ("abelian-count", "--p", "3", "--n", "1", "--m", "1", "--r", "2",
+            "--formula", "1*x1 = 0")
+
+    def test_exact_route_refuses_two_counted_variables(self, capsys):
+        code, out, err = run(capsys, *self.ARGS)
+        assert (code, out) == (1, "")
+        assert "r = 1" in err
+
+    def test_symbolic_route_counts_both_variables(self, capsys):
+        code, out, _ = run(capsys, *self.ARGS, "--symbolic")
+        assert code == 0
+        assert json.loads(out)["count"] == "3"
+
+
+class TestThresholds:
+    DIM = ("dim-compare", "--family", "earlyexample", "--formula-x", "E(x,x)",
+           "--formula-y", "E(x,y)", "--selector-y", "class-1",
+           "--indices", "4,8", "--tau")
+    CHAIN = ("chain", "--family", "earlyexample", "--step", "E(x,x)",
+             "--indices", "4,8", "--tau")
+    SPECTRUM = ("spectrum", "--family", "findelta", "--formula", "E(x,y)",
+                "--indices", "4,8", "--gamma")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("argv", [DIM, CHAIN, SPECTRUM])
+    def test_non_finite_or_negative_exits_one(self, capsys, argv, value):
+        # --flag=value, so that argparse reads "-inf" as a value
+        code, out, err = run(capsys, *argv[:-1], f"{argv[-1]}={value}")
+        assert (code, out) == (1, "")
+        assert "finite nonnegative" in err
+
+    @pytest.mark.parametrize("argv", [DIM, CHAIN, SPECTRUM])
+    def test_zero_and_finite_values_still_run(self, capsys, argv):
+        for value in ("0", "2.5"):
+            code, out, _ = run(capsys, *argv, value)
+            assert code == 0
+            json.loads(out)
+
+
+class TestHugeIndex:
+    @pytest.mark.parametrize("argv", [
+        ("family", "--name", "findelta", "--index", "100000",
+         "--formula", "E(x,x)"),
+        ("family", "--name", "stablenonattainability", "--index", "20000",
+         "--formula", "E(x,x)"),
+        ("spectrum", "--family", "findelta", "--formula", "E(x,y)",
+         "--indices", "10000000000000000000000"),
+        ("family", "--name", "convsupersimple", "--index", "10" * 12),
+    ])
+    def test_refused_at_once(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "the summary would take" in err
+        assert time.monotonic() - start < 2
+
+    def test_every_index_up_to_64_is_summarized(self):
+        for fid in list_families():
+            family = get_family(fid)
+            for index in range(1, 65):
+                family_summary(family, index)
+
+    def test_limit_is_a_family_error(self):
+        with pytest.raises(FamilyError, match=str(MAX_SUMMARY_BITS)):
+            family_summary(get_family("findelta"), 10 ** 5)
