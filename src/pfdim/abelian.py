@@ -14,13 +14,14 @@ same case analysis into finitely many exponent polynomials
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .counting import Count
 from .gf import is_prime
 from .logic import PfdimError
+from .vspace import GuardedPoly
 
 NEGATION_CAP = 12
 SYMBOLIC_NEGATION_CAP = 4
@@ -312,16 +313,9 @@ def evaluate_poly(P: ExponentPolynomial, p: int, m: int, n: int) -> Count:
     return Count(total)
 
 
-@dataclass(frozen=True)
-class SymbolicCase:
-    poly: ExponentPolynomial
-    guard: str
-    fires: Callable[[int, int, Sequence[Tuple[int, ...]]], bool] = field(compare=False)
-
-    def to_json_dict(self) -> dict:
-        out = self.poly.to_json_dict()
-        out["guard"] = self.guard
-        return out
+# The catalogs' case record, under the name pfdim exports: an
+# ExponentPolynomial, its guard text, and ``fires(n, m, params)``.
+SymbolicCase = GuardedPoly
 
 
 def derived_bound(atoms: Sequence[StandardAtom], p: int) -> int:
@@ -426,7 +420,7 @@ def _downward_closed_patterns(t: int) -> List[FrozenSet[FrozenSet[int]]]:
 
 
 def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
-                      var: int = 0) -> List[SymbolicCase]:
+                      var: int = 0) -> List[GuardedPoly]:
     pos, neg = _split_atoms(atoms, p)
     if len(neg) > SYMBOLIC_NEGATION_CAP:
         raise AbelianError(
@@ -477,12 +471,12 @@ def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
                     return False
                 return actual(n, m, params) == _pat
 
-            cases.append(SymbolicCase(poly, desc, fires))
+            cases.append(GuardedPoly(poly, desc, fires))
     return cases
 
 
 def symbolic_count(atoms: Sequence[StandardAtom], r: int, p: int,
-                   d: Optional[int] = None) -> List[SymbolicCase]:
+                   d: Optional[int] = None) -> List[GuardedPoly]:
     """The finite candidate set F ⊆ S(d, r): pairs (polynomial, guard) such
     that for every (n, m) and parameter values exactly one guard fires and
     its polynomial evaluates to the exact count.
@@ -544,21 +538,21 @@ def symbolic_count(atoms: Sequence[StandardAtom], r: int, p: int,
         def fires(n, m, params, _combo=combo):
             return all(case.fires(n, m, params) for case in _combo)
 
-        cases.append(SymbolicCase(poly, desc, fires))
+        cases.append(GuardedPoly(poly, desc, fires))
     return cases
 
 
 def symbolic_value(atoms: Sequence[StandardAtom], r: int,
                    params: Sequence[Tuple[int, ...]],
                    p: int, n: int, m: int,
-                   d: Optional[int] = None) -> Tuple[SymbolicCase, Count]:
+                   d: Optional[int] = None) -> Tuple[GuardedPoly, Count]:
     """Select the unique firing case and evaluate it."""
     return select_case(symbolic_count(atoms, r, p, d), params, p, n, m)
 
 
-def select_case(cases: Sequence[SymbolicCase],
+def select_case(cases: Sequence[GuardedPoly],
                 params: Sequence[Tuple[int, ...]],
-                p: int, n: int, m: int) -> Tuple[SymbolicCase, Count]:
+                p: int, n: int, m: int) -> Tuple[GuardedPoly, Count]:
     """The unique case of a ``symbolic_count`` catalog whose guard fires,
     and its value."""
     if n < 1 or m < 1:

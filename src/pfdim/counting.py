@@ -90,17 +90,19 @@ def _unassigned(name: str):
 
 def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
                     counted: Sequence[str] = ()):
-    """Compile ``phi`` for ``M`` into ``(test, env)``.
+    """Compile ``phi`` for ``M`` into ``(test, env, visits)``.
 
     ``env`` is the slot list: the values of ``fixed``, then one slot for
     each name in ``counted`` (for the caller to set), then one slot per
     binder.  ``test(env)`` is the truth of ``phi`` in ``M`` under the
-    values in the slots.  A free variable in neither ``fixed`` nor
-    ``counted`` raises :class:`AssignmentError` only when evaluation
+    values in the slots.  ``visits`` is the most quantifier-loop visits
+    one call of ``test`` can make.  A free variable in neither ``fixed``
+    nor ``counted`` raises :class:`AssignmentError` only when evaluation
     reaches it.
     """
     names = [*fixed, *counted]
     width = len(names)
+    visits = 0
 
     def term(t, scope):
         if isinstance(t, Var):
@@ -116,8 +118,10 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             return lambda env: table[tuple([a(env) for a in args])]
         raise TypeError(f"not a term: {t!r}")
 
-    def walk(f, scope):
-        nonlocal width
+    def walk(f, scope, reach):
+        # reach: the product of the enclosing binders' sort sizes, the
+        # most times one evaluation can reach ``f``
+        nonlocal width, visits
         if isinstance(f, Rel):
             if f.name in M.virtual_relations:
                 holds = M.virtual_relations[f.name]
@@ -141,10 +145,10 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             left, right = term(f.left, scope), term(f.right, scope)
             return lambda env: left(env) == right(env)
         if isinstance(f, Not):
-            body = walk(f.body, scope)
+            body = walk(f.body, scope, reach)
             return lambda env: not body(env)
         if isinstance(f, (And, Or, Implies)):
-            left, right = walk(f.left, scope), walk(f.right, scope)
+            left, right = walk(f.left, scope, reach), walk(f.right, scope, reach)
             if isinstance(f, And):
                 return lambda env: left(env) and right(env)
             if isinstance(f, Or):
@@ -153,8 +157,9 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
         if isinstance(f, (Exists, Forall)):
             k = width
             width += 1
-            body = walk(f.body, {**scope, f.var: k})
             values = range(M.sizes[f.sort])
+            visits += reach * len(values)
+            body = walk(f.body, {**scope, f.var: k}, reach * len(values))
             if isinstance(f, Exists):
                 def exists(env):
                     for v in values:
@@ -173,13 +178,13 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             return forall
         raise TypeError(f"not a formula node: {f!r}")
 
-    test = walk(phi, {name: i for i, name in enumerate(names)})
-    return test, [*fixed.values(), *[0] * (width - len(fixed))]
+    test = walk(phi, {name: i for i, name in enumerate(names)}, 1)
+    return test, [*fixed.values(), *[0] * (width - len(fixed))], visits
 
 
 def evaluate(phi: Formula, M: FiniteStructure, assignment: Dict[str, int]) -> bool:
     """Tarskian truth of ``phi`` in ``M`` under ``assignment`` (name -> id)."""
-    test, env = compile_formula(phi, M, assignment)
+    test, env, _ = compile_formula(phi, M, assignment)
     return test(env)
 
 
@@ -226,8 +231,10 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             raise AssignmentError(
                 f"fixed value {v}={value} is outside sort {sorts[v]} "
                 f"(elements 0..{n - 1})")
+    # the counted variables' slots follow the fixed ones
+    test, env, visits = compile_formula(phi, M, fixed, counted_vars)
     domains = []
-    total = 1 + _loop_visits(phi, M)
+    total = 1 + visits
     for v in counted_vars:
         n = _sort_size(M, v, sorts[v])
         domains.append(range(n))
@@ -237,11 +244,9 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             f"count could take {total} steps, assignments times quantifier "
             f"visits (budget exceeded)")
     if not counted_vars:
-        return Count(1 if evaluate(phi, M, fixed) else 0)
+        return Count(1 if test(env) else 0)
 
-    # the counted variables' slots follow the fixed ones; the innermost
-    # counted variable is set directly
-    test, env = compile_formula(phi, M, fixed, counted_vars)
+    # the innermost counted variable is set directly
     first, last = len(fixed), len(fixed) + len(counted_vars) - 1
     hits = 0
     for values in product(*domains[:-1]):
@@ -251,17 +256,6 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             if test(env):
                 hits += 1
     return Count(hits)
-
-
-def _loop_visits(f: Formula, M: FiniteStructure) -> int:
-    """Most quantifier-loop visits one evaluation of ``f`` can make."""
-    if isinstance(f, (Exists, Forall)):
-        return M.sizes[f.sort] * (1 + _loop_visits(f.body, M))
-    if isinstance(f, Not):
-        return _loop_visits(f.body, M)
-    if isinstance(f, (And, Or, Implies)):
-        return _loop_visits(f.left, M) + _loop_visits(f.right, M)
-    return 0
 
 
 def _sort_size(M: FiniteStructure, var: str, sort: Optional[str]) -> int:

@@ -343,9 +343,9 @@ def _block_count(summary, sig: Signature, phi,
     slot = {(b.param.class_index, b.param.offset): i
             for i, b in enumerate(blocks) if b.param is not None}
     fixed = {v: slot[ref.class_index, ref.offset] for v, ref in params.items()}
-    test, env = compile_formula(phi, _quotient(summary, sig, blocks), fixed,
-                                counted)
-    if len(env) > len(fixed) + len(counted):
+    test, env, visits = compile_formula(
+        phi, _quotient(summary, sig, blocks), fixed, counted)
+    if visits:
         return "a quantifier"  # blocks are not closed under quantification
     if not counted:
         return Count(1 if test(env) else 0)
@@ -556,7 +556,8 @@ HOMOCYCLIC_ORDER_LIMIT = 1024
 
 def make_homocyclic(p: int, n: int, m: int) -> FiniteStructure:
     """The group (Z/p^nZ)^m with add/neg tables; element ids encode m-tuples
-    of residues mod p^n in base p^n."""
+    of residues mod p^n in base p^n, first coordinate least significant
+    (``gf.vec_decode``)."""
     try:
         prime = gf.is_prime(p)
     except ValueError as exc:
@@ -569,31 +570,17 @@ def make_homocyclic(p: int, n: int, m: int) -> FiniteStructure:
     if order > HOMOCYCLIC_ORDER_LIMIT:
         raise FamilyError(f"group order {order} exceeds size budget")
     mod = p ** n
-
-    def decode(x):
-        out = []
-        for _ in range(m):
-            out.append(x % mod)
-            x //= mod
-        return tuple(out)
-
-    def encode(t):
-        x = 0
-        for c in reversed(t):
-            x = x * mod + c
-        return x
-
-    elems = [decode(x) for x in range(order)]
+    elems = [gf.vec_decode(x, mod, m) for x in range(order)]
     sig = make_signature(
         ["G"], functions=[("add", ("G", "G"), "G"), ("neg", ("G",), "G")],
         constants=[("zero", "G")])
     return FiniteStructure(
         signature=sig, sizes={"G": order}, relations={},
         functions={
-            "add": {(a, b): encode(tuple((x + y) % mod
-                                         for x, y in zip(elems[a], elems[b])))
+            "add": {(a, b): gf.vec_encode([(x + y) % mod for x, y
+                                           in zip(elems[a], elems[b])], mod)
                     for a in range(order) for b in range(order)},
-            "neg": {(a,): encode(tuple((-x) % mod for x in elems[a]))
+            "neg": {(a,): gf.vec_encode([(-x) % mod for x in elems[a]], mod)
                     for a in range(order)},
         },
         constants={"zero": 0})

@@ -41,21 +41,6 @@ class GF:
         return range(self.q)
 
 
-def _poly_digits(x: int, p: int, k: int) -> List[int]:
-    out = []
-    for _ in range(k):
-        out.append(x % p)
-        x //= p
-    return out
-
-
-def _from_digits(d: Sequence[int], p: int) -> int:
-    x = 0
-    for c in reversed(d):
-        x = x * p + c
-    return x
-
-
 # The first 13 primes.  Sorenson and Webster (2015): the least composite that
 # is a strong probable prime to all of them is PRIME_LIMIT.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -96,19 +81,17 @@ def make_field(q: int) -> GF:
         p = q
         add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
         mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        neg = tuple((-a) % p for a in range(p))
-        inv = tuple(0 if a == 0 else pow(a, -1, p) for a in range(p))
-        return GF(q, p, add, mul, neg, inv)
+        return _from_tables(q, p, add, mul)
 
     p, poly = _IRRED[q]
     k = len(poly) - 1
 
     def padd(a, b):
-        da, db = _poly_digits(a, p, k), _poly_digits(b, p, k)
-        return _from_digits([(x + y) % p for x, y in zip(da, db)], p)
+        da, db = vec_decode(a, p, k), vec_decode(b, p, k)
+        return vec_encode([(x + y) % p for x, y in zip(da, db)], p)
 
     def pmul(a, b):
-        da, db = _poly_digits(a, p, k), _poly_digits(b, p, k)
+        da, db = vec_decode(a, p, k), vec_decode(b, p, k)
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(da):
             for j, y in enumerate(db):
@@ -120,19 +103,18 @@ def make_field(q: int) -> GF:
                 prod[deg] = 0
                 for i, pc in enumerate(poly[:-1]):
                     prod[deg - k + i] = (prod[deg - k + i] - c * pc) % p
-        return _from_digits(prod[:k], p)
+        return vec_encode(prod[:k], p)
 
     add = tuple(tuple(padd(a, b) for b in range(q)) for a in range(q))
     mul = tuple(tuple(pmul(a, b) for b in range(q)) for a in range(q))
-    neg = tuple(_from_digits([(-c) % p for c in _poly_digits(a, p, k)], p)
-                for a in range(q))
-    inv_list = [0] * q
-    for a in range(1, q):
-        for b in range(1, q):
-            if mul[a][b] == 1:
-                inv_list[a] = b
-                break
-    return GF(q, p, add, mul, neg, tuple(inv_list))
+    return _from_tables(q, p, add, mul)
+
+
+def _from_tables(q: int, p: int, add, mul) -> GF:
+    # in a field, each row of add holds 0 once and each row of mul but
+    # the first holds 1 once
+    return GF(q, p, add, mul, tuple(row.index(0) for row in add),
+              (0,) + tuple(row.index(1) for row in mul[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +144,15 @@ def vec_scale(F: GF, c: int, a: Sequence[int]) -> Tuple[int, ...]:
     return tuple(F.mul[c][x] for x in a)
 
 
-def rank(F: GF, rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of coordinate vectors over GF(q), by Gaussian elimination."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
+def _reduce(F: GF, mat: List[List[int]], ncols: int) -> List[int]:
+    """Gauss-Jordan elimination of ``mat`` in place over its first ``ncols``
+    columns: reduced row echelon form there, the other columns carried
+    along.  Returns the pivot columns; row i holds the i-th pivot."""
+    pivots: List[int] = []
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
@@ -180,10 +163,14 @@ def rank(F: GF, rows: Sequence[Sequence[int]]) -> int:
             if i != r and mat[i][col] != 0:
                 c = mat[i][col]
                 mat[i] = [F.sub(x, F.mul[c][y]) for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+        pivots.append(col)
+    return pivots
+
+
+def rank(F: GF, rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a list of coordinate vectors over GF(q), by Gaussian elimination."""
+    mat = [list(r) for r in rows]
+    return len(_reduce(F, mat, len(mat[0]) if mat else 0))
 
 
 def solve_affine(F: GF, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
@@ -191,29 +178,11 @@ def solve_affine(F: GF, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
 
     Returns (particular solution, nullspace basis) or None if inconsistent.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if rows else 0
     aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = F.inv[aug[r][col]]
-        aug[r] = [F.mul[inv][x] for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [F.sub(x, F.mul[c][y]) for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    pivots = _reduce(F, aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     sol = [0] * n
     for i, col in enumerate(pivots):
         sol[col] = aug[i][n]

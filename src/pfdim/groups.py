@@ -50,7 +50,14 @@ def _perm_group(name: str, perms: List[tuple]) -> Group:
     return Group(name, len(perms), mul, tuple(inv))
 
 
+# C<k> has a k^2 table: at the limit, as large as a homocyclic group's
+# at families.HOMOCYCLIC_ORDER_LIMIT
+CYCLIC_ORDER_LIMIT = 1024
+
+
 def _cyclic(k: int) -> Group:
+    if not 1 <= k <= CYCLIC_ORDER_LIMIT:
+        raise PfdimError(f"C{k}: the order must be 1..{CYCLIC_ORDER_LIMIT}")
     mul = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
     inv = tuple((-a) % k for a in range(k))
     return Group(f"C{k}", k, mul, inv)
@@ -114,7 +121,7 @@ _BUILTIN = {}
 def builtin_group(name: str) -> Group:
     """Shipped groups: C<k>, S3, S4, A4, A5, PSL(2,7)."""
     if name not in _BUILTIN:
-        if name.startswith("C") and name[1:].isdigit():
+        if name.startswith("C") and name[1:].isdecimal():
             _BUILTIN[name] = _cyclic(int(name[1:]))
         elif name == "S3":
             _BUILTIN[name] = _perm_group("S3", list(permutations(range(3))))

@@ -31,9 +31,10 @@ class ParseDiagnostic(PfdimError):
     message: str
     expected: Tuple[str, ...] = ()
 
-    def __str__(self):
+    def __post_init__(self):
+        # kept in ``args``, so a caller's prefix (the index) is printed too
         exp = f" (expected {', '.join(self.expected)})" if self.expected else ""
-        return f"{self.line}:{self.column}: {self.message}{exp}"
+        self.args = (f"{self.line}:{self.column}: {self.message}{exp}",)
 
 
 _TOKEN = re.compile(r"""
@@ -190,6 +191,8 @@ class _Parser:
             return Const(val)
         if val in self.sig.relations:
             raise self.lx.diag_at(off, f"relation {val} used as a term")
+        if self.lx.peek()[1] == "(":
+            raise self.lx.diag_at(off, f"unknown relation or function {val}")
         return Var(val)
 
 

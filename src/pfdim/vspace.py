@@ -19,11 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from . import gf
 from .counting import Count
 from .logic import FiniteStructure, PfdimError
+
+if TYPE_CHECKING:
+    from .abelian import ExponentPolynomial
 
 
 class VSpaceError(PfdimError):
@@ -342,7 +346,9 @@ def count_coset_difference(space: Space, include: Sequence[Coset],
 
 @dataclass(frozen=True)
 class GuardedPoly:
-    poly: VFPolynomial
+    """A count polynomial, its guard text, and optionally the guard as a
+    predicate (left out of equality): fibering and abelian catalog cases."""
+    poly: Union[VFPolynomial, "ExponentPolynomial"]
     guard: str
     fires: Optional[Callable[..., bool]] = field(default=None, compare=False)
 

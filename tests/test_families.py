@@ -1,5 +1,6 @@
 """Structure families: generation, block summaries, aggregate counting."""
 
+import itertools
 import math
 
 import pytest
@@ -172,3 +173,24 @@ class TestHomocyclicPrimeCheck:
     def test_beyond_the_limit_rejected(self):
         with pytest.raises(FamilyError, match="decided only below"):
             make_homocyclic(10 ** 25, 1, 1)
+
+
+class TestHomocyclicIdLayout:
+    @pytest.mark.parametrize("p, n, m", [(2, 2, 3), (3, 1, 2), (3, 2, 2),
+                                         (5, 1, 3), (2, 3, 2), (7, 1, 1)])
+    def test_tables_are_coordinatewise_mod_p_to_the_n(self, p, n, m):
+        # id = sum c_i (p^n)^i: the first coordinate is least significant
+        M = make_homocyclic(p, n, m)
+        mod = p ** n
+
+        def ident(coords):
+            return sum(c * mod ** i for i, c in enumerate(coords))
+
+        tuples = list(itertools.product(range(mod), repeat=m))
+        assert sorted(map(ident, tuples)) == list(range(M.sizes["G"]))
+        add, neg = M.functions["add"], M.functions["neg"]
+        for a in tuples:
+            assert neg[(ident(a),)] == ident([(-x) % mod for x in a])
+            for b in tuples:
+                assert add[(ident(a), ident(b))] == ident(
+                    [(x + y) % mod for x, y in zip(a, b)])

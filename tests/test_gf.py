@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfdim.gf import (PRIME_LIMIT, SUPPORTED_Q, is_prime, make_field, rank,
                       solve_affine, vec_add, vec_decode, vec_encode, vec_scale)
@@ -120,3 +121,53 @@ class TestIsPrime:
     def test_beyond_the_limit_is_rejected(self):
         with pytest.raises(ValueError, match="decided only below"):
             is_prime(PRIME_LIMIT)
+
+
+@st.composite
+def systems(draw, min_rows):
+    """A field from SUPPORTED_Q, a 0..4-row (at least ``min_rows``) by 1..4
+    column matrix over it, and a right-hand side."""
+    q = draw(st.sampled_from(SUPPORTED_Q))
+    nrows, ncols = draw(st.integers(min_rows, 4)), draw(st.integers(1, 4))
+    entry = st.integers(0, q - 1)
+    rows = draw(st.lists(st.tuples(*[entry] * ncols),
+                         min_size=nrows, max_size=nrows))
+    rhs = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return make_field(q), ncols, rows, tuple(rhs)
+
+
+def combinations_of(F, start, vectors):
+    """Every start + sum c_i v_i, by enumerating the coefficients."""
+    out = set()
+    for coeffs in itertools.product(F.elements(), repeat=len(vectors)):
+        v = tuple(start)
+        for c, vec in zip(coeffs, vectors):
+            v = vec_add(F, v, vec_scale(F, c, vec))
+        out.add(v)
+    return out
+
+
+class TestEliminationDifferential:
+    """rank and solve_affine against brute-force enumeration, over every
+    supported field and tall, wide and square systems."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems(min_rows=0))
+    def test_rank_is_log_of_span(self, system):
+        F, ncols, rows, _ = system
+        span = combinations_of(F, (0,) * ncols, rows)
+        assert len(span) == F.q ** rank(F, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems(min_rows=1))
+    def test_solve_affine_is_the_solution_set(self, system):
+        F, ncols, rows, rhs = system
+        expected = {x for x in itertools.product(F.elements(), repeat=ncols)
+                    if apply_matrix(F, rows, x) == rhs}
+        sol = solve_affine(F, rows, rhs)
+        if not expected:
+            assert sol is None
+            return
+        particular, basis = sol
+        assert len(basis) == ncols - rank(F, rows)
+        assert combinations_of(F, particular, basis) == expected

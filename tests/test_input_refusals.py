@@ -10,6 +10,7 @@ import pytest
 from pfdim.cli import main
 from pfdim.families import (FamilyError, MAX_SUMMARY_BITS, family_summary,
                             get_family, list_families)
+from pfdim.groups import CYCLIC_ORDER_LIMIT
 
 
 def run(capsys, *argv):
@@ -126,3 +127,37 @@ class TestHugeIndex:
     def test_limit_is_a_family_error(self):
         with pytest.raises(FamilyError, match=str(MAX_SUMMARY_BITS)):
             family_summary(get_family("findelta"), 10 ** 5)
+
+
+class TestCyclicGroupOrder:
+    @pytest.mark.parametrize("group", ["C0", "C1025", "C" + "9" * 30, "C²"])
+    def test_refused(self, capsys, group):
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-image", "--group", group,
+                             "--word", "x*y", "--triple")
+        assert (code, out) == (1, "")
+        assert group in err
+        assert time.monotonic() - start < 2
+
+    @pytest.mark.parametrize("k", [1, 12, CYCLIC_ORDER_LIMIT])
+    def test_accepted_up_to_the_limit(self, capsys, k):
+        code, out, _ = run(capsys, "word-image", "--group", f"C{k}",
+                           "--word", "x*y", "--triple")
+        assert code == 0
+        assert json.loads(out)["imageSize"] == k
+
+
+class TestUnknownSymbol:
+    def test_chain_names_the_index_and_the_symbol(self, capsys):
+        code, out, err = run(capsys, "chain", "--family", "convsupersimple",
+                             "--indices", "4,8", "--step", "P8(x)")
+        assert (code, out) == (1, "")
+        assert "index 4: 1:1: unknown relation or function P8" in err
+
+    @pytest.mark.parametrize("formula, where", [
+        ("Q(x)", "1:1"), ("E(x, Q(y))", "1:6"), ("x = Q(y)", "1:5")])
+    def test_reported_at_the_name(self, capsys, formula, where):
+        code, out, err = run(capsys, "family", "--name", "findelta",
+                             "--index", "4", "--formula", formula)
+        assert (code, out) == (1, "")
+        assert f"{where}: unknown relation or function Q" in err
