@@ -19,7 +19,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--indices", default="8,16,32,64",
                     help="comma-separated family indices for the comparisons")
-    ap.add_argument("--spectrum-indices", default="4,6,8")
+    ap.add_argument("--spectrum-indices", default="8,16,32,64")
     args = ap.parse_args(argv)
     indices = [int(t) for t in args.indices.split(",")]
     spec_indices = [int(t) for t in args.spectrum_indices.split(",")]

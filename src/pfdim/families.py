@@ -29,8 +29,8 @@ variable satisfies the formula on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from itertools import accumulate, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf
@@ -74,15 +74,23 @@ class EquivSummary:
     """One-binary-equivalence family at one index: class sizes in canonical
     order, elements laid out class after class."""
     class_sizes: Tuple[int, ...]
+    # starts[ci] = sum(class_sizes[:ci]); the last entry is the total
+    _starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_starts",
+                           tuple(accumulate(self.class_sizes, initial=0)))
 
     @property
     def total(self) -> int:
-        return sum(self.class_sizes)
+        return self._starts[-1]
 
     def class_start(self, ci: int) -> int:
-        return sum(self.class_sizes[:ci])
+        return self._starts[ci]
 
     def element(self, ci: int, offset: int = 0) -> ElemRef:
+        if not 0 <= ci < len(self.class_sizes):
+            raise FamilyError("class index out of range")
         if not 0 <= offset < self.class_sizes[ci]:
             raise FamilyError("offset out of class bounds")
         return ElemRef(ci, offset, self.class_start(ci) + offset)
@@ -114,7 +122,7 @@ def _stablenonattainability_sizes(n: int) -> Tuple[int, ...]:
 
 def _findelta_sizes(n: int) -> Tuple[int, ...]:
     # n classes of size n^i for each level i = 1..n
-    return tuple(n ** i for i in range(1, n + 1) for _ in range(n))
+    return tuple(size for i in range(1, n + 1) for size in [n ** i] * n)
 
 
 def _rank2classes_sizes(n: int) -> Tuple[int, ...]:
@@ -430,21 +438,27 @@ class FamilyAt:
         """Sorted distinct log-counts of {phi(x, b) : b in universe}.
 
         The parameter variable must be 'y', and at most one other variable
-        may be free; counts are computed per parameter block (all these
-        families are class-symmetric, so phi(x, b) has the same count for
-        every b in a block).
+        may be free.  The count of phi(x, b) is invariant under the
+        automorphisms of the structure, and on these families (only ``E``)
+        an automorphism can move any element to any other element of its
+        class, and swap any two classes of equal size.  So one class per
+        distinct size is counted, the first of that size, at its first
+        element; a formula without ``y`` is counted once.
         """
         (phi, _), = self.conjunctions([(phi_text, None)])
         if self.family.family_id not in _EQUIV_FAMILIES:
             raise FamilyError(
                 "spectrum supported for equivalence families only")
         check_one_counted(phi, {"y": None})
-        classes = len(self.summary.class_sizes)
-        if "y" not in dict(free_variables(phi)):
-            classes = 1  # every parameter gives the same count
+        classes = [0]  # without y, every parameter gives the same count
+        if "y" in dict(free_variables(phi)):
+            first: Dict[int, int] = {}   # class size -> its first class
+            for ci, size in enumerate(self.summary.class_sizes):
+                first.setdefault(size, ci)
+            classes = list(first.values())
         element = self.summary.element
         return sorted({self.count(phi, {"y": element(ci)}).log_value
-                       for ci in range(classes)})
+                       for ci in classes})
 
 
 def family_sequence(family: FamilyHandle, indices: Sequence[int],

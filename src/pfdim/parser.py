@@ -188,6 +188,8 @@ class _Parser:
             self.lx.expect(")")
             return App(val, tuple(args))
         if val in self.sig.constants:
+            if self.lx.peek()[1] == "(":
+                raise self.lx.diag_at(off, f"constant {val} takes no arguments")
             return Const(val)
         if val in self.sig.relations:
             raise self.lx.diag_at(off, f"relation {val} used as a term")

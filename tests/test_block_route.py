@@ -9,7 +9,8 @@ block route must return the engine's count, and must decline (return
 or when a ``convsupersimple`` count is given parameters.  The route
 chooser ``FamilyAt.count`` must return the engine's count either way, and
 the family counts built on it (``chain_detect``, ``fmv_spectrum``,
-``mu_D_sequence``) must too.
+``mu_D_sequence``) must too.  A spectrum, which counts one class per
+distinct class size, must equal the counts over every class.
 """
 
 import functools
@@ -18,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from pfdim import families
 from pfdim.counting import BudgetExceeded, count
 from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
 from pfdim.families import (ElemRef, FamilyAt, FamilyError, aggregate_count,
@@ -204,6 +206,53 @@ def test_spectrum_without_y_is_one_count():
         family_count(family, "E(x, x)", 64).log_value]
     assert spectrum_logcounts(get_family("earlyexample"), QUANTIFIED, 4) == [
         engine_count("earlyexample", QUANTIFIED, 4).log_value]
+
+
+# ---------------------------------------------------------------------------
+# Spectra: one count per distinct class size
+
+EQUIV_IDS = [fid for fid in FAMILY_IDS if fid != "convsupersimple"]
+XY_ATOMS = ("E(x, y)", "E(y, x)", "x = y", "E(x, x)", "E(y, y)", "y = x")
+
+
+def every_class(at, text):
+    """The spectrum's reference: one count for every class, not one per
+    distinct class size."""
+    phi = parse_formula(text, at.signature)
+    return sorted({at.count(phi, {"y": at.summary.element(ci)}).log_value
+                   for ci in range(len(at.summary.class_sizes))})
+
+
+@pytest.mark.parametrize("fid", EQUIV_IDS)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=formulas(XY_ATOMS), index=st.integers(1, 6))
+def test_spectrum_matches_every_class(fid, text, index):
+    at = FamilyAt(get_family(fid), index)
+    assert at.spectrum(text) == every_class(at, text)
+
+
+@pytest.mark.parametrize("fid", ["findelta", "stablenonattainability"])
+def test_fallback_spectrum_matches_every_class(fid):
+    text = "exists z:S. E(x, z) & E(z, y) & !(z = y)"
+    at = FamilyAt(get_family(fid), 3)
+    spectrum = at.spectrum(text)
+    assert at._structure is not None   # the block route declined
+    assert spectrum == every_class(at, text)
+
+
+def test_findelta_spectrum_counts_once_per_class_size(monkeypatch):
+    calls = []
+    block_count = families._block_count
+
+    def counting(*args):
+        calls.append(args)
+        return block_count(*args)
+
+    monkeypatch.setattr(families, "_block_count", counting)
+    logs = spectrum_logcounts(get_family("findelta"), "E(x, y)", 64)
+    assert len(calls) == 64          # not 64 * 64 classes
+    assert len(logs) == 64
 
 
 @pytest.mark.parametrize("fid,text,params,reason", [

@@ -6,11 +6,11 @@ import math
 import pytest
 
 from pfdim.counting import count
-from pfdim.families import (FamilyError, aggregate_count, family_count,
-                            family_selector, family_signature, family_summary,
-                            generate, get_family, list_families,
-                            make_homocyclic, make_vector_space,
-                            spectrum_logcounts)
+from pfdim.families import (FamilyError, _findelta_sizes, aggregate_count,
+                            family_count, family_selector, family_signature,
+                            family_summary, generate, get_family,
+                            list_families, make_homocyclic,
+                            make_vector_space, spectrum_logcounts)
 from pfdim.logic import sort_check
 from pfdim.parser import parse_formula
 
@@ -52,6 +52,38 @@ class TestSummaries:
         s = family_summary(get_family("convsupersimple"), 4)
         assert s.total == 4 ** 4
         assert list(s.pred_sizes) == [4 ** 3, 4 ** 2, 4 ** 1, 4 ** 0]
+
+
+EQUIV_IDS = [fid for fid in FAMILY_IDS if fid != "convsupersimple"]
+
+
+class TestSummaryLayout:
+    """Classes are laid out one after another in ``class_sizes`` order; the
+    prefix sums behind ``total`` and ``class_start`` must say the same."""
+
+    @pytest.mark.parametrize("fid, index", [
+        *((fid, n) for fid in EQUIV_IDS for n in range(1, 9)),
+        ("findelta", 64)])
+    def test_starts_are_plain_sums(self, fid, index):
+        s = family_summary(get_family(fid), index)
+        sizes = s.class_sizes
+        assert s.total == sum(sizes)
+        for ci, size in enumerate(sizes):
+            start = sum(sizes[:ci])
+            assert s.class_start(ci) == start
+            for off in {0, size // 2, size - 1}:
+                assert s.element(ci, off).global_id == start + off
+
+    @pytest.mark.parametrize("ci", [-1, 4])
+    def test_class_index_out_of_range(self, ci):
+        s = family_summary(get_family("earlyexample"), 4)
+        with pytest.raises(FamilyError, match="class index out of range"):
+            s.element(ci)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 64])
+    def test_findelta_sizes(self, n):
+        assert _findelta_sizes(n) == tuple(
+            n ** i for i in range(1, n + 1) for _ in range(n))
 
 
 class TestGenerateMatchesSummary:

@@ -161,3 +161,15 @@ class TestUnknownSymbol:
                              "--index", "4", "--formula", formula)
         assert (code, out) == (1, "")
         assert f"{where}: unknown relation or function Q" in err
+
+
+class TestConstantWithArguments:
+    def test_count_reports_the_constant(self, capsys, tmp_path):
+        path = tmp_path / "pointed.json"
+        path.write_text(json.dumps({
+            "sorts": [{"name": "S", "size": 3}],
+            "constants": [{"name": "c", "sort": "S", "value": 0}]}))
+        code, out, err = run(capsys, "count", "--structure", str(path),
+                             "--formula", "c(x) = x", "--count-vars", "x")
+        assert (code, out) == (1, "")
+        assert "1:1: constant c takes no arguments" in err

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pfdim.families import make_vector_space
 from pfdim.logic import (And, App, Const, Eq, Exists, Forall, Implies, Not,
                          Or, Rel, SortError, Var, make_signature)
 from pfdim.parser import ParseDiagnostic, parse_formula, render_formula
@@ -81,6 +82,19 @@ class TestDiagnostics:
             parse_formula(text, SIG)
         assert exc.value.line >= 1
         assert exc.value.column >= 1
+
+    @pytest.mark.parametrize("text, where", [
+        ("c(x) = x", "1:1"), ("x = c()", "1:5"), ("E(x, f(c(y)))", "1:8")])
+    def test_constant_with_arguments_reported_at_its_name(self, text, where):
+        with pytest.raises(ParseDiagnostic,
+                           match=f"^{where}: constant c takes no arguments$"):
+            parse_formula(text, SIG)
+
+    def test_vector_space_constant_with_arguments(self):
+        sig = make_vector_space(2, 2).signature
+        with pytest.raises(ParseDiagnostic,
+                           match="^1:1: constant zeroK takes no arguments$"):
+            parse_formula("zeroK(x) = x", sig)
 
     @pytest.mark.parametrize("text", ["E(x)", "exists x:T. P(x)"])
     def test_sort_errors_surface(self, text):
