@@ -9,9 +9,8 @@ import argparse
 import json
 import sys
 
-from pfdim.counting import count_family
 from pfdim.dimension import chain_detect, delta_compare, fmv_spectrum
-from pfdim.families import get_family
+from pfdim.families import count_family, get_family
 from pfdim.measure import mu_D_sequence
 
 

@@ -10,17 +10,16 @@ from .logic import (App, And, Const, Eq, Exists, FiniteStructure, Forall,
                     rename_free, sort_check, structure_from_json_dict)
 from .parser import ParseDiagnostic, parse_formula, render_formula
 from .counting import (AssignmentError, BudgetExceeded, CardinalitySequence,
-                       Count, count, count_family, evaluate, get_budget)
+                       Count, count, evaluate, get_budget)
 from .families import (ElemRef, FamilyAt, FamilyError, FamilyHandle,
-                       aggregate_count, family_count, family_selector,
-                       family_signature, family_summary, generate, get_family,
-                       list_families, make_homocyclic, make_vector_space,
-                       spectrum_logcounts)
+                       count_family, family_signature, family_summary,
+                       generate, get_family, list_families, make_homocyclic,
+                       make_vector_space)
 from .abelian import (AbelianError, ExponentPolynomial, LinearTerm,
                       StandardAtom, SymbolicCase, brute_count, derived_bound,
                       evaluate_poly, exact_count,
-                      parse_standard_conjunction, symbolic_count,
-                      symbolic_value)
+                      parse_standard_conjunction, select_case,
+                      symbolic_count)
 from .vspace import (Coset, CosetCount, GuardedPoly, ThetaCase, VFPolynomial,
                      VSpaceError, count_coset_difference, count_theta_case,
                      fiber_compose, span_rank)

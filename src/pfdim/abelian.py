@@ -542,14 +542,6 @@ def symbolic_count(atoms: Sequence[StandardAtom], r: int, p: int,
     return cases
 
 
-def symbolic_value(atoms: Sequence[StandardAtom], r: int,
-                   params: Sequence[Tuple[int, ...]],
-                   p: int, n: int, m: int,
-                   d: Optional[int] = None) -> Tuple[GuardedPoly, Count]:
-    """Select the unique firing case and evaluate it."""
-    return select_case(symbolic_count(atoms, r, p, d), params, p, n, m)
-
-
 def select_case(cases: Sequence[GuardedPoly],
                 params: Sequence[Tuple[int, ...]],
                 p: int, n: int, m: int) -> Tuple[GuardedPoly, Count]:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import abelian, dimension, families, groups, measure, vspace
-from .counting import count as engine_count, count_family
-from .families import get_family
+from .counting import count as engine_count
+from .families import FamilyAt, count_family, get_family
 from .logic import PfdimError, load_structure
 from .parser import ParseDiagnostic, parse_formula
 
@@ -25,11 +25,19 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_indices(text: str) -> List[int]:
+def _parse_ints(text: str) -> List[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise PfdimError(f"bad index list {text!r}")
+
+
+def _parse_indices(text: str) -> List[int]:
+    """A family index list, which must name at least one index."""
+    indices = _parse_ints(text)
+    if not indices:
+        raise PfdimError(f"index list {text!r} names no index")
+    return indices
 
 
 def nonnegative(text: str) -> float:
@@ -71,14 +79,19 @@ def _cmd_count(args) -> int:
 
 def _cmd_family(args) -> int:
     family = get_family(args.name)
-    if args.formula:
-        result = families.family_count(family, args.formula, args.index,
-                                       selector=args.selector,
-                                       budget=args.budget)
+    if args.formula is not None:
+        if args.out not in (None, "-"):
+            raise PfdimError("--out writes the structure; "
+                             "a --formula count goes to stdout")
+        at = FamilyAt(family, args.index)
+        (phi, params), = at.conjunctions([(args.formula, args.selector)])
+        result = at.count(phi, params, args.budget)
         _emit({"familyId": args.name, "index": args.index,
                "formula": args.formula, "selector": args.selector,
                "count": str(result.value)})
         return 0
+    if args.selector is not None or args.budget is not None:
+        raise PfdimError("--selector and --budget need --formula")
     M = families.generate(args.name, args.index)
     text = M.to_json()
     if args.out in (None, "-"):
@@ -189,8 +202,8 @@ def _cmd_vs_count(args) -> int:
         _emit({"count": str(result.count.value),
                "poly": result.poly.to_json_dict()})
         return 0
-    w = _parse_indices(args.w) if args.w else []
-    wp = _parse_indices(args.wprime) if args.wprime else []
+    w = _parse_ints(args.w) if args.w else []
+    wp = _parse_ints(args.wprime) if args.wprime else []
     case = vspace.count_theta_case(space, w, wp)
     _emit({"count": str(case.count.value), "guard": case.guard,
            "poly": case.poly.to_json_dict(),
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="generate or count along a family")
     p.add_argument("--name", required=True)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--out", default="-")
+    p.add_argument("--out")
     p.add_argument("--formula")
     p.add_argument("--selector")
     p.add_argument("--budget", type=int, default=None, help=budget_help)
@@ -382,9 +395,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -262,25 +262,3 @@ def _sort_size(M: FiniteStructure, var: str, sort: Optional[str]) -> int:
     if sort is None:
         raise AssignmentError(f"variable {var} has no inferred sort; sort_check first")
     return M.sizes[sort]
-
-
-def count_family(phi_text: str, family, indices: Sequence[int],
-                 selector: Optional[str] = None,
-                 budget: Optional[int] = None) -> CardinalitySequence:
-    """One exact count per family index, indices sorted and deduplicated.
-
-    Each index is counted by ``families.FamilyAt.count``, which chooses
-    the block route or materialize-and-enumerate. Failures are reported
-    with their index.
-    """
-    # deferred import: families depends on counting for the engine fallback
-    from .families import family_sequence
-
-    def count_at(at):
-        (phi, params), = at.conjunctions([(phi_text, selector)])
-        return at.count(phi, params, budget)
-
-    return CardinalitySequence(
-        family_id=family.family_id, formula_text=phi_text,
-        selector=selector or "",
-        points=tuple(family_sequence(family, indices, count_at)))

@@ -17,7 +17,7 @@ Every family supports two counting routes:
 its route: the block summary first, and when that declines, materializing
 and enumerating.  Every family count goes through it, every formula text
 is parsed by ``FamilyAt.conjunctions``, and every count sequence loops
-over its indices in ``family_sequence``.
+over its indices in ``family_sequence`` (``count_family`` for one formula).
 
 Block counting has no formula evaluator of its own: it builds the quotient
 structure whose elements are the blocks (``E`` relates blocks of one class,
@@ -34,8 +34,8 @@ from itertools import accumulate, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf
-from .counting import (BudgetExceeded, Count, compile_formula,
-                       count as engine_count)
+from .counting import (BudgetExceeded, CardinalitySequence, Count,
+                       compile_formula, count as engine_count)
 from .logic import (And, FiniteStructure, Formula, PfdimError, Signature,
                     free_variables, make_signature, rename_free)
 from .parser import parse_formula
@@ -141,6 +141,8 @@ def _equiv_selectors(family_id: str):
     def class_rank(t: int):
         # a_{n,t}: an element in the class of size n^{n-t}
         def pick(index: int, s: EquivSummary) -> Dict[str, ElemRef]:
+            if t > index:
+                raise FamilyError(f"class rank {t} absent at index {index}")
             sizes = s.class_sizes
             want = index ** (index - t)
             for ci, sz in enumerate(sizes):
@@ -221,10 +223,6 @@ def family_signature(family: FamilyHandle, index: int) -> Signature:
         return make_signature(
             ["S"], relations=[(f"P{i}", ("S",)) for i in range(1, index + 1)])
     raise FamilyError(f"unknown familyId {family.family_id!r}")
-
-
-def family_selector(family: FamilyHandle, name: str, index: int) -> Dict[str, ElemRef]:
-    return FamilyAt(family, index).selector(name)
 
 
 def generate(family_id: str, index: int) -> FiniteStructure:
@@ -335,10 +333,10 @@ def check_one_counted(phi, params: Dict[str, ElemRef]) -> None:
                           f"({', '.join(counted)}); expected at most one")
 
 
-def _block_count(summary, sig: Signature, phi,
-                 params: Dict[str, ElemRef]) -> Union[Count, str]:
-    """The block-route count, or the reason the route declines."""
-    counted = counted_variables(phi, params)
+def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
+                 counted: List[str]) -> Union[Count, str]:
+    """The block-route count of ``phi`` over its ``counted`` variables (its
+    free variables outside ``params``), or the reason the route declines."""
     if len(counted) > 1:
         return f"{len(counted)} counted variables"
     if isinstance(summary, EquivSummary):
@@ -364,17 +362,6 @@ def _block_count(summary, sig: Signature, phi,
         if test(env):
             acc += b.size
     return Count(acc)
-
-
-def aggregate_count(family: FamilyHandle, phi, index: int,
-                    params: Dict[str, ElemRef]) -> Optional[Count]:
-    """Exact count over one counted variable via block decomposition, or
-    None when the formula is outside the supported fragment: more than one
-    counted variable, a quantifier, or parameters on a nested-predicate
-    family."""
-    at = FamilyAt(family, index)
-    result = _block_count(at.summary, at.signature, phi, params)
-    return result if isinstance(result, Count) else None
 
 
 class FamilyAt:
@@ -419,12 +406,13 @@ class FamilyAt:
         the parameters not free in ``phi``.  When neither route can count
         (too large to build, or over the budget), the ``FamilyError``
         names both causes."""
-        result = _block_count(self.summary, self.signature, phi, params)
+        free = [n for n, _ in free_variables(phi)]
+        counted = [n for n in free if n not in params]
+        result = _block_count(self.summary, self.signature, phi, params,
+                              counted)
         if isinstance(result, Count):
             return result
-        free = [n for n, _ in free_variables(phi)]
         fixed = {k: v.global_id for k, v in params.items() if k in free}
-        counted = [n for n in free if n not in fixed]
         try:
             if self._structure is None:
                 self._structure = generate(self.family.family_id, self.index)
@@ -477,19 +465,19 @@ def family_sequence(family: FamilyHandle, indices: Sequence[int],
     return out
 
 
-def family_count(family: FamilyHandle, phi_text: str, index: int,
+def count_family(phi_text: str, family: FamilyHandle, indices: Sequence[int],
                  selector: Optional[str] = None,
-                 budget: Optional[int] = None) -> Count:
-    """Exact |phi(M_index, a)| with parameters chosen by the named selector,
-    counted by ``FamilyAt.count``."""
-    at = FamilyAt(family, index)
-    (phi, params), = at.conjunctions([(phi_text, selector)])
-    return at.count(phi, params, budget)
+                 budget: Optional[int] = None) -> CardinalitySequence:
+    """One exact count per family index, indices sorted and deduplicated,
+    each by ``FamilyAt.count``; errors name their index."""
+    def count_at(at: FamilyAt) -> Count:
+        (phi, params), = at.conjunctions([(phi_text, selector)])
+        return at.count(phi, params, budget)
 
-
-def spectrum_logcounts(family: FamilyHandle, phi_text: str, index: int) -> List[float]:
-    """``FamilyAt.spectrum`` at one index; errors name the index."""
-    return family_sequence(family, [index], lambda at: at.spectrum(phi_text))[0][1]
+    return CardinalitySequence(
+        family_id=family.family_id, formula_text=phi_text,
+        selector=selector or "",
+        points=tuple(family_sequence(family, indices, count_at)))
 
 
 # ---------------------------------------------------------------------------

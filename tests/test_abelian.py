@@ -8,8 +8,8 @@ import pytest
 from pfdim.abelian import (AbelianError, ExponentPolynomial, LinearTerm,
                            StandardAtom, brute_count, derived_bound,
                            evaluate_poly, exact_count, make_poly,
-                           parse_standard_conjunction, symbolic_count,
-                           symbolic_value)
+                           parse_standard_conjunction, select_case,
+                           symbolic_count)
 
 
 def atom_eq(xc, yc, negated=False):
@@ -121,7 +121,8 @@ class TestSymbolic:
                              atom_div(p, rng.randint(1, 2), tuple(xc),
                                       (rng.randint(-2, 2),)))
             params = [(rng.randrange(p ** n),)]
-            case, got = symbolic_value(atoms, 2, params, p, n, m)
+            case, got = select_case(symbolic_count(atoms, 2, p), params,
+                                    p, n, m)
             mod = p ** n
             want = 0
             for x1, x2 in itertools.product(range(mod), repeat=2):

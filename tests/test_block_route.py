@@ -1,11 +1,11 @@
-"""Differential tests: the block route (``aggregate_count``) against the
+"""Differential tests: the block route (``_block_count``) against the
 enumeration engine (``counting.count``) on the materialized structure.
 
 Formulas are random quantifier-free combinations of the atoms each family
 supports, sometimes under one top-level binder; ``y`` and ``z`` are either
 counted or bound to a selector's element or to an arbitrary element.  The
 block route must return the engine's count, and must decline (return
-``None``) exactly when the formula has two counted variables or a binder,
+its reason) exactly when the formula has two counted variables or a binder,
 or when a ``convsupersimple`` count is given parameters.  The route
 chooser ``FamilyAt.count`` must return the engine's count either way, and
 the family counts built on it (``chain_detect``, ``fmv_spectrum``,
@@ -20,12 +20,11 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from pfdim import families
-from pfdim.counting import BudgetExceeded, count
+from pfdim.counting import BudgetExceeded, Count, count
 from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
-from pfdim.families import (ElemRef, FamilyAt, FamilyError, aggregate_count,
-                            family_count, family_selector, family_signature,
-                            family_summary, generate, get_family,
-                            list_families, spectrum_logcounts)
+from pfdim.families import (ElemRef, FamilyAt, FamilyError, _block_count,
+                            count_family, family_signature, family_summary,
+                            generate, get_family, list_families)
 from pfdim.logic import free_variables
 from pfdim.measure import MeasureError, mu_D_sequence
 from pfdim.parser import parse_formula
@@ -53,7 +52,7 @@ def working_selectors(family, index):
     out = []
     for name in list_families()[family.family_id]["selectors"]:
         try:
-            out.append(family_selector(family, name, index)["y"])
+            out.append(FamilyAt(family, index).selector(name)["y"])
         except FamilyError:
             pass
     return out
@@ -104,12 +103,13 @@ def test_block_route_matches_engine(case):
     counted = [n for n in free if n not in fixed]
     declines = (len(counted) > 1 or has_binder
                 or (fid == "convsupersimple" and bool(params)))
-    agg = aggregate_count(family, phi, index, params)
+    at = FamilyAt(family, index)
+    agg = _block_count(at.summary, at.signature, phi, params, counted)
     event("declined" if declines else f"{len(counted)} counted")
     if declines:
-        assert agg is None
+        assert isinstance(agg, str)
         return
-    assert agg is not None
+    assert not isinstance(agg, str)
     expected = count(phi, materialized(fid, index), fixed, counted)
     assert agg.value == expected.value
 
@@ -124,10 +124,11 @@ def test_lumped_block_at_index_64(fid, selector, text, plus):
     # when the formula admits x = y
     family = get_family(fid)
     summary = family_summary(family, 64)
-    ref = family_selector(family, selector, 64)["y"]
+    ref = FamilyAt(family, 64).selector(selector)["y"]
     expected = (sum(summary.class_sizes)
                 - summary.class_sizes[ref.class_index] + plus)
-    assert family_count(family, text, 64, selector=selector).value == expected
+    seq = count_family(text, family, [64], selector=selector)
+    assert seq.points[0][1].value == expected
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +157,9 @@ def test_family_at_matches_engine(case):
             at.count(phi, params, budget=ENUMERATION_WORK)
         event("too large to enumerate")
         return
-    event("block route" if aggregate_count(at.family, phi, index, params)
-          else "enumerated")
+    event("block route" if isinstance(
+        _block_count(at.summary, at.signature, phi, params, counted), Count)
+        else "enumerated")
     assert at.count(phi, params, budget=ENUMERATION_WORK) == expected
 
 
@@ -175,7 +177,7 @@ def engine_count(fid, text, index, y=None):
 def test_consumers_count_quantified_formulas(fid, selector):
     family = get_family(fid)
     indices = [2, 3, 4]
-    ys = [family_selector(family, selector, n)["y"].global_id
+    ys = [FamilyAt(family, n).selector(selector)["y"].global_id
           for n in indices]
 
     report = chain_detect(family, [(QUANTIFIED, None),
@@ -202,9 +204,9 @@ def test_consumers_count_quantified_formulas(fid, selector):
 
 def test_spectrum_without_y_is_one_count():
     family = get_family("findelta")
-    assert spectrum_logcounts(family, "E(x, x)", 64) == [
-        family_count(family, "E(x, x)", 64).log_value]
-    assert spectrum_logcounts(get_family("earlyexample"), QUANTIFIED, 4) == [
+    assert FamilyAt(family, 64).spectrum("E(x, x)") == [
+        count_family("E(x, x)", family, [64]).points[0][1].log_value]
+    assert FamilyAt(get_family("earlyexample"), 4).spectrum(QUANTIFIED) == [
         engine_count("earlyexample", QUANTIFIED, 4).log_value]
 
 
@@ -250,7 +252,7 @@ def test_findelta_spectrum_counts_once_per_class_size(monkeypatch):
         return block_count(*args)
 
     monkeypatch.setattr(families, "_block_count", counting)
-    logs = spectrum_logcounts(get_family("findelta"), "E(x, y)", 64)
+    logs = FamilyAt(get_family("findelta"), 64).spectrum("E(x, y)")
     assert len(calls) == 64          # not 64 * 64 classes
     assert len(logs) == 64
 
@@ -277,7 +279,7 @@ def test_consumers_keep_their_errors_when_neither_route_counts():
     with pytest.raises(MeasureError, match="size budget exceeded"):
         mu_D_sequence(family, QUANTIFIED, "E(x, x)", [8])
     with pytest.raises(FamilyError, match="a quantifier"):
-        spectrum_logcounts(family, "exists z:S. E(x, z) & E(z, y)", 8)
+        FamilyAt(family, 8).spectrum("exists z:S. E(x, z) & E(z, y)")
 
 
 def test_consumers_refuse_a_second_counted_variable():
@@ -288,7 +290,7 @@ def test_consumers_refuse_a_second_counted_variable():
     with pytest.raises(DimensionError, match="2 counted variables"):
         chain_detect(family, [(pair, "largest-class")], [2])
     with pytest.raises(FamilyError, match="2 counted variables"):
-        spectrum_logcounts(family, pair, 2)
+        FamilyAt(family, 2).spectrum(pair)
     with pytest.raises(MeasureError, match=r"D counts \['x', 'y'\]"):
         mu_D_sequence(family, "E(x, y)", "E(x, x)", [2])
     with pytest.raises(MeasureError, match=r"together \['x', 'y'\]"):
@@ -307,7 +309,7 @@ def test_large_materializable_index_fails_fast():
     with pytest.raises(DimensionError, match="budget exceeded.*a quantifier"):
         chain_detect(family, [(step, None)], [6])
     with pytest.raises(FamilyError, match="budget exceeded.*a quantifier"):
-        family_count(family, step, 6)
+        count_family(step, family, [6])
 
 
 def test_consumers_turn_an_exceeded_budget_into_their_errors(monkeypatch):
@@ -318,4 +320,4 @@ def test_consumers_turn_an_exceeded_budget_into_their_errors(monkeypatch):
     with pytest.raises(MeasureError, match="budget exceeded"):
         mu_D_sequence(family, QUANTIFIED, "E(x, x)", [2])
     with pytest.raises(FamilyError, match="budget exceeded"):
-        spectrum_logcounts(family, "exists z:S. E(x, z) & E(z, y)", 2)
+        FamilyAt(family, 2).spectrum("exists z:S. E(x, z) & E(z, y)")

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from pfdim.counting import (AssignmentError, BudgetExceeded, count,
-                            count_family, evaluate)
-from pfdim.families import get_family
+from pfdim.counting import AssignmentError, BudgetExceeded, count, evaluate
+from pfdim.families import FamilyAt, count_family, get_family
 from pfdim.logic import (And, Eq, Exists, FiniteStructure, Not, Or, Rel, Var,
                          free_variables, make_signature, sort_check)
 
@@ -155,6 +154,7 @@ class TestCountFamily:
         fam = get_family("earlyexample")
         seq = count_family("E(x, y)", fam, [2, 3, 4])
         assert [n for n, _ in seq.points] == [2, 3, 4]
-        from pfdim.families import family_count
         for n, c in seq.points:
-            assert c.value == family_count(fam, "E(x, y)", n).value
+            at = FamilyAt(fam, n)
+            (phi, params), = at.conjunctions([("E(x, y)", None)])
+            assert c.value == at.count(phi, params).value

@@ -6,12 +6,12 @@ import math
 import pytest
 
 from pfdim.counting import count
-from pfdim.families import (FamilyError, _findelta_sizes, aggregate_count,
-                            family_count, family_selector, family_signature,
+from pfdim.families import (FamilyAt, FamilyError, _block_count,
+                            _findelta_sizes, count_family, family_signature,
                             family_summary, generate, get_family,
                             list_families, make_homocyclic,
-                            make_vector_space, spectrum_logcounts)
-from pfdim.logic import sort_check
+                            make_vector_space)
+from pfdim.logic import free_variables, sort_check
 from pfdim.parser import parse_formula
 
 
@@ -125,27 +125,26 @@ class TestAggregateCounting:
     def test_agrees_with_engine_at_small_indices(self, fid, formula, selector):
         fam = get_family(fid)
         for idx in (3, 4):
-            sig = family_signature(fam, idx)
-            phi = parse_formula(formula, sig)
-            params = family_selector(fam, selector, idx) if selector else {}
-            agg = aggregate_count(fam, phi, idx, params)
-            assert agg is not None
+            at = FamilyAt(fam, idx)
+            phi = parse_formula(formula, at.signature)
+            params = at.selector(selector) if selector else {}
             M = generate(fid, idx)
             fixed = {k: v.global_id for k, v in params.items()}
-            counted = [n for n, _ in
-                       __import__("pfdim.logic", fromlist=["free_variables"])
-                       .free_variables(phi) if n not in fixed]
+            counted = [n for n, _ in free_variables(phi) if n not in fixed]
+            agg = _block_count(at.summary, at.signature, phi, params, counted)
+            assert not isinstance(agg, str)
             assert agg.value == count(phi, M, fixed, counted).value
 
     def test_aggregate_reaches_unmaterializable_index(self):
         fam = get_family("stablenonattainability")
         # index 64 has 64^1 + ... + 64^64 elements; blocks still count exactly
-        c = family_count(fam, "E(x, y)", 64, selector="class-rank-1")
-        assert c.value == 64 ** 63
+        seq = count_family("E(x, y)", fam, [64], selector="class-rank-1")
+        assert seq.points[0][1].value == 64 ** 63
 
     def test_engine_fallback_for_quantified_formula(self):
         fam = get_family("earlyexample")
-        c = family_count(fam, "exists z:S. (E(x, z) & E(z, y))", 3)
+        seq = count_family("exists z:S. (E(x, z) & E(z, y))", fam, [3])
+        c = seq.points[0][1]
         M = generate("earlyexample", 3)
         sig = family_signature(fam, 3)
         phi = parse_formula("exists z:S. (E(x, z) & E(z, y))", sig)
@@ -154,15 +153,15 @@ class TestAggregateCounting:
     def test_selector_errors(self):
         fam = get_family("earlyexample")
         with pytest.raises(FamilyError):
-            family_selector(fam, "class-99", 3)
+            FamilyAt(fam, 3).selector("class-99")
         with pytest.raises(FamilyError):
-            family_selector(fam, "nonsense", 3)
+            FamilyAt(fam, 3).selector("nonsense")
 
 
 class TestSpectrum:
     def test_findelta_distinct_logcounts(self):
         fam = get_family("findelta")
-        logs = spectrum_logcounts(fam, "E(x, y)", 4)
+        logs = FamilyAt(fam, 4).spectrum("E(x, y)")
         assert logs == sorted(logs)
         assert len(logs) == 4
         expected = sorted(math.log(4 ** i) for i in range(1, 5))

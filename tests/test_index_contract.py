@@ -14,9 +14,9 @@ import pytest
 
 from pfdim import families
 from pfdim.cli import main
-from pfdim.counting import count_family
 from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
-from pfdim.families import FamilyAt, FamilyError, get_family, spectrum_logcounts
+from pfdim.families import (FamilyAt, FamilyError, count_family,
+                            family_sequence, get_family)
 from pfdim.measure import MeasureError, mu_D_sequence
 
 QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # the block route declines
@@ -75,7 +75,8 @@ def test_errors_name_their_index_and_keep_their_type():
         count_family("E(x, y)", family, [6, 5, 4], selector="class-5")
     stable = get_family("stablenonattainability")
     with pytest.raises(FamilyError, match=r"^index 8: .*a quantifier"):
-        spectrum_logcounts(stable, "exists z:S. E(x, z) & E(z, y)", 8)
+        family_sequence(stable, [8], lambda at: at.spectrum(
+            "exists z:S. E(x, z) & E(z, y)"))
     with pytest.raises(FamilyError, match=r"^index 8: .*a quantifier"):
         fmv_spectrum(stable, "exists z:S. E(x, z) & E(z, y)", [8])
 

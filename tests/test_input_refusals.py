@@ -173,3 +173,66 @@ class TestConstantWithArguments:
                              "--formula", "c(x) = x", "--count-vars", "x")
         assert (code, out) == (1, "")
         assert "1:1: constant c takes no arguments" in err
+
+
+class TestFamilyOptions:
+    """``family`` without ``--formula`` prints the structure, so the options
+    of a count are refused there, and a count is never written to --out."""
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--selector", "nonsense"], "--selector and --budget need --formula"),
+        (["--budget", "5"], "--selector and --budget need --formula"),
+        (["--formula", ""], "parse error"),
+    ])
+    def test_ignored_option_exits_one(self, capsys, extra, message):
+        code, out, err = run(capsys, "family", "--name", "earlyexample",
+                             "--index", "2", *extra)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_count_refuses_out(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        code, out, err = run(capsys, "family", "--name", "earlyexample",
+                             "--index", "2", "--formula", "E(x, x)",
+                             "--out", str(path))
+        assert (code, out) == (1, "")
+        assert "--out writes the structure" in err
+        assert not path.exists()
+
+    def test_structure_and_count_still_run(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        assert run(capsys, "family", "--name", "earlyexample", "--index", "2",
+                   "--out", str(path))[:2] == (0, "")
+        assert json.loads(path.read_text())["sorts"][0]["size"] == 5
+        code, out, _ = run(capsys, "family", "--name", "earlyexample",
+                           "--index", "2", "--formula", "E(x, x)",
+                           "--out", "-")
+        assert (code, json.loads(out)["count"]) == (0, "5")
+
+
+class TestEmptyIndexList:
+    @pytest.mark.parametrize("indices", [",", "", " , "])
+    @pytest.mark.parametrize("argv", [
+        ["dim-compare", "--family", "earlyexample", "--formula-x", "E(x, x)",
+         "--formula-y", "E(x, x)"],
+        ["chain", "--family", "earlyexample", "--step", "E(x, x)"],
+        ["spectrum", "--family", "earlyexample", "--formula", "E(x, y)"],
+    ])
+    def test_refused(self, capsys, argv, indices):
+        code, out, err = run(capsys, *argv, "--indices", indices)
+        assert (code, out) == (1, "")
+        assert "names no index" in err
+
+    def test_vs_count_keeps_an_empty_vector_list(self, capsys):
+        code, out, _ = run(capsys, "vs-count", "--q", "2", "--dim", "2",
+                           "--w", ",", "--wprime", "")
+        assert (code, json.loads(out)["count"]) == (0, "4")
+
+
+@pytest.mark.parametrize("index,rank", [(3, 4), (3, 5), (2, 8)])
+def test_class_rank_above_the_index_is_absent(capsys, index, rank):
+    code, out, err = run(capsys, "family", "--name", "stablenonattainability",
+                         "--index", str(index), "--formula", "E(x, y)",
+                         "--selector", f"class-rank-{rank}")
+    assert (code, out) == (1, "")
+    assert f"class rank {rank} absent at index {index}" in err

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pfdim import abelian
 from pfdim.abelian import (AbelianError, LinearTerm, StandardAtom,
                            brute_count, evaluate_poly, select_case,
-                           symbolic_count, symbolic_value)
+                           symbolic_count)
 
 
 def filtered_patterns(t):
@@ -113,7 +113,7 @@ class TestSharedSolvability:
         calls = self.counting_pattern(monkeypatch)
         x1 = StandardAtom("eq", LinearTerm((2, 0), (1,)), negated=True)
         x2 = StandardAtom("div", LinearTerm((0, 1), (1,)), 1, negated=True)
-        symbolic_value([x1, x2], 2, [(3,)], 2, 3, 1)
+        select_case(symbolic_count([x1, x2], 2, 2), [(3,)], 2, 3, 1)
         assert len(calls) == 2
 
     def test_exactly_one_guard_still_checked(self):
