@@ -44,8 +44,6 @@ def main(argv=None):
                 w = find_k_intersection(space, events, k)
             except HypothesisError:
                 continue
-            if w is None:
-                continue
             witnesses += 1
             if w.measure < w.bound:
                 violations += 1

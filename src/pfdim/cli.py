@@ -232,9 +232,6 @@ def _cmd_measure_kcap(args) -> int:
     except measure.MeasureError as exc:
         _emit({"violation": str(exc)})
         return 2
-    if witness is None:
-        _emit({"exhausted": True})
-        return 0
     _emit({"indices": list(witness.indices),
            "measure": _frac_str(witness.measure),
            "bound": _frac_str(witness.bound)})

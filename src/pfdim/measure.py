@@ -6,8 +6,9 @@ counting-measure surrogate, and checks of two intersection bounds:
 * for 0 < eps <= 1/2 there are k events whose intersection has measure at
   least eps^(3^(k-1)).
 
-Everything is Fraction arithmetic; the bounds are tight enough at k = 3, 4
-that floating point could mask violations.
+Everything is exact (the bounds are tight enough at k = 3, 4 that floating
+point could mask violations): the witness searches take events as atom
+bitmasks and weights as integers over their common denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .logic import PfdimError
 
 K_CAP = 5
 N_CAP = 24
-DEFAULT_SUBSET_BUDGET = 2_000_000
 
 
 class MeasureError(PfdimError):
@@ -80,7 +80,13 @@ def space_from_json(text: str) -> Tuple[FiniteMeasureSpace, List[Event]]:
     data = json.loads(text)
     try:
         weights = tuple(Fraction(w) for w in data["weights"])
-        events = [frozenset(int(a) for a in e) for e in data.get("events", [])]
+        events = data.get("events", [])
+        # an atom is a JSON integer: not true (a bool), 1.0 or "1"
+        if not isinstance(events, list) or not all(
+                isinstance(e, list) and all(type(a) is int for a in e)
+                for e in events):
+            raise TypeError("events must be lists of integer atoms")
+        events = [frozenset(e) for e in events]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MeasureError(f"malformed measure-space JSON: {exc}") from exc
     space = FiniteMeasureSpace(weights)
@@ -125,18 +131,6 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
 # intersection bounds
 
 
-def _check_hypotheses(space: FiniteMeasureSpace, events: Sequence[Event]):
-    if not events:
-        raise HypothesisError("no events given")
-    measures = [mu(space, e) for e in events]
-    eps = min(measures)
-    if eps <= 0:
-        raise HypothesisError("an event has measure 0")
-    if eps > Fraction(1, 2):
-        eps = Fraction(1, 2)  # the bound only needs a lower bound <= 1/2
-    return measures, eps
-
-
 def k_intersection_bound(eps: Fraction, k: int) -> Fraction:
     return eps ** (3 ** (k - 1))
 
@@ -148,36 +142,69 @@ class Witness:
     bound: Fraction
 
 
+def _integer_events(space: FiniteMeasureSpace, events: Sequence[Event]):
+    """(masks, weigh, scale): the events as atom bitmasks, and exactly
+    mu(A) == Fraction(weigh(mask of A), scale)."""
+    if any(not 0 <= a < space.atoms for e in events for a in e):
+        raise MeasureError("event references an atom outside the space")
+    scale = math.lcm(*(w.denominator for w in space.weights))
+    weights = [w.numerator * (scale // w.denominator) for w in space.weights]
+
+    def weigh(mask: int) -> int:
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += weights[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    return [sum(1 << a for a in e) for e in events], weigh, scale
+
+
 def find_k_intersection(space: FiniteMeasureSpace, events: Sequence[Event],
-                        k: int,
-                        budget: int = DEFAULT_SUBSET_BUDGET) -> Optional[Witness]:
-    """A k-subset of events whose intersection has measure at least
-    eps^(3^(k-1)), eps = min event measure (capped at 1/2).  Returns None
-    only when the subset budget is exhausted — when the hypotheses hold a
-    witness always exists, so a clean miss indicates a bug."""
+                        k: int) -> Witness:
+    """The lexicographically first k-subset of events whose intersection
+    has measure at least eps^(3^(k-1)), eps = min event measure (capped at
+    1/2); at k = 1, the first event of largest measure.  Depth first in
+    lexicographic order, cutting a prefix whose intersection is already
+    below the bound (more events only shrink it).  When the hypotheses hold
+    a witness always exists, so a miss after the exhaustive search raises."""
     if not 1 <= k <= K_CAP:
         raise HypothesisError(f"k must be in 1..{K_CAP}")
     if len(events) > N_CAP:
         raise HypothesisError(f"at most {N_CAP} events supported")
     if len(events) < k:
         raise HypothesisError("fewer events than k")
-    measures, eps = _check_hypotheses(space, events)
+    masks, weigh, scale = _integer_events(space, events)
+    measures = [weigh(m) for m in masks]
+    if min(measures) == 0:
+        raise HypothesisError("an event has measure 0")
+    # the bound only needs a lower bound <= 1/2
+    eps = min(Fraction(min(measures), scale), Fraction(1, 2))
     bound = k_intersection_bound(eps, k)
     if k == 1:
-        best = max(range(len(events)), key=lambda i: measures[i])
-        return Witness((best,), measures[best], bound)
-    visited = 0
-    for combo in combinations(range(len(events)), k):
-        visited += 1
-        if visited > budget:
-            return None
-        inter = frozenset.intersection(*[events[i] for i in combo])
-        val = mu(space, inter)
-        if val >= bound:
-            return Witness(combo, val, bound)
-    if len(events) < sufficient_events(eps, k):
+        best = max(range(len(events)), key=measures.__getitem__)
+        return Witness((best,), Fraction(measures[best], scale), bound)
+    need, n = math.ceil(bound * scale), len(events)
+
+    def extend(prefix, inter, start):
+        for i in range(start, n - k + len(prefix) + 1):
+            meet = inter & masks[i]
+            value = weigh(meet)
+            if value < need:
+                continue
+            if len(prefix) + 1 == k:
+                return Witness(prefix + (i,), Fraction(value, scale), bound)
+            found = extend(prefix + (i,), meet, i + 1)
+            if found:
+                return found
+
+    witness = extend((), -1, 0)  # -1: the empty prefix meets in every atom
+    if witness:
+        return witness
+    if n < sufficient_events(eps, k):
         raise HypothesisError(
-            f"{len(events)} events are too few to guarantee a witness for "
+            f"{n} events are too few to guarantee a witness for "
             f"k={k} at eps={eps}")
     raise MeasureError(
         "no k-subset met the bound although the hypotheses hold — this "
@@ -211,18 +238,19 @@ def pairwise_threshold_check(space: FiniteMeasureSpace,
     N = pairwise_threshold(eps)
     if len(events) < N:
         raise HypothesisError(f"need at least N(eps)={N} events, got {len(events)}")
-    measures = [mu(space, e) for e in events]
-    low = [i for i, v in enumerate(measures) if v < eps]
+    masks, weigh, scale = _integer_events(space, events)
+    low = [i for i, m in enumerate(masks) if weigh(m) < eps * scale]
     if low:
         raise HypothesisError(f"events {low} have measure below eps")
     bound = eps ** 3
-    best: Optional[Witness] = None
-    for i, j in combinations(range(len(events)), 2):
-        val = mu(space, events[i] & events[j])
-        if val >= bound:
-            return Witness((i, j), val, bound)
-        if best is None or val > best.measure:
-            best = Witness((i, j), val, bound)
+    need, best = math.ceil(bound * scale), None
+    for i, j in combinations(range(len(masks)), 2):
+        value = weigh(masks[i] & masks[j])
+        if value >= need:
+            return Witness((i, j), Fraction(value, scale), bound)
+        if best is None or value > best[0]:
+            best = (value, (i, j))
+    best = Witness(best[1], Fraction(best[0], scale), bound)
     raise MeasureError(
         f"no pair reached eps^3={bound} (best {best}) although the "
         "hypotheses hold — this contradicts the pairwise threshold theorem")

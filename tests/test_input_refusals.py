@@ -60,6 +60,22 @@ class TestMeasureKcap:
         assert (code, out) == (1, "")
         assert "malformed measure-space JSON" in err
 
+    # each of these would read as [{0}, {0}, {1}, {1}], which has a witness
+    # for both commands, if an atom could be anything int() accepts
+    @pytest.mark.parametrize("events", [
+        [[0.0], [0], [1], [1.9]], [[0], [0], [1], [True]], "0011",
+        [[0], "0", [1], [1]], [[0], [0], ["1"], [1]]],
+        ids=["float", "bool", "string-events", "string-event", "string-atom"])
+    @pytest.mark.parametrize("command,arg", [("measure-kcap", ["--k", "2"]),
+                                             ("pairwise-check",
+                                              ["--eps", "1/2"])])
+    def test_atom_that_is_not_an_integer_exits_one(self, capsys, space,
+                                                   command, arg, events):
+        path = space(["1/2", "1/2"], events)
+        code, out, err = run(capsys, command, "--space", path, *arg)
+        assert (code, out) == (1, "")
+        assert "malformed measure-space JSON" in err
+
 
 class TestAbelianR:
     ARGS = ("abelian-count", "--p", "3", "--n", "1", "--m", "1", "--r", "2",

@@ -3,11 +3,16 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from pfdim import measure
 from pfdim.families import get_family
 from pfdim.measure import (FiniteMeasureSpace, HypothesisError, MeasureError,
+                           Witness,
                            find_k_intersection, k_intersection_bound, mu,
                            mu_D_sequence, pairwise_threshold,
                            pairwise_threshold_check, space_from_json,
@@ -127,3 +132,137 @@ class TestMuDSequence:
         fam = get_family("convsupersimple")
         with pytest.raises(MeasureError):
             mu_D_sequence(fam, "P1(x) & !(P1(x))", "P1(x)", [4])
+
+
+# ---------------------------------------------------------------------------
+# the witness searches against a plain lexicographic scan over Fraction sums
+
+
+def scan_k_intersection(space, events, k):
+    measures = [mu(space, e) for e in events]
+    if min(measures) == 0:
+        raise HypothesisError("an event has measure 0")
+    eps = min(min(measures), Fraction(1, 2))
+    bound = k_intersection_bound(eps, k)
+    if k == 1:
+        best = max(range(len(events)), key=measures.__getitem__)
+        return Witness((best,), measures[best], bound)
+    for combo in combinations(range(len(events)), k):
+        val = mu(space, frozenset.intersection(*[events[i] for i in combo]))
+        if val >= bound:
+            return Witness(combo, val, bound)
+    if len(events) < measure.sufficient_events(eps, k):
+        raise HypothesisError("too few events")
+    raise MeasureError("no k-subset met the bound")
+
+
+def scan_pairwise(space, events, eps):
+    if len(events) < measure.pairwise_threshold(eps):
+        raise HypothesisError("too few events")
+    if any(mu(space, e) < eps for e in events):
+        raise HypothesisError("an event has measure below eps")
+    bound, best = eps ** 3, None
+    for i, j in combinations(range(len(events)), 2):
+        val = mu(space, events[i] & events[j])
+        if val >= bound:
+            return Witness((i, j), val, bound)
+        if best is None or val > best.measure:
+            best = Witness((i, j), val, bound)
+    raise MeasureError(f"(best {best}) although the hypotheses hold")
+
+
+def outcome(search, *args):
+    """The witness, or the class of the error (and, for a violation, the
+    best pair its message names)."""
+    try:
+        return search(*args)
+    except HypothesisError:
+        return HypothesisError
+    except MeasureError as exc:
+        return MeasureError, str(exc).partition("(best ")[2].partition(
+            ") although")[0]
+
+
+def label(result):
+    return ("witness" if isinstance(result, Witness) else
+            "hypothesis" if result is HypothesisError else "violation")
+
+
+def rational_space(raw):
+    return FiniteMeasureSpace(tuple(Fraction(w, sum(raw)) for w in raw))
+
+
+@st.composite
+def k_problems(draw):
+    """(space, events, k): rational weights with some zero atoms and sparse
+    or dense events; or the benchmark's shape, disjoint triples of which
+    the last few (about k) also share atom 0."""
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        n_events = draw(st.integers(k, 24))
+        n_atoms = 3 * n_events + 2
+        atoms = draw(st.permutations(range(1, n_atoms)))
+        shared = min(n_events, max(1, k + draw(st.integers(-1, 1))))
+        events = [frozenset(atoms[3 * i:3 * i + 3]) | (
+            {0} if i >= n_events - shared else set())
+            for i in range(n_events)]
+        raw = draw(st.lists(st.integers(1, 9), min_size=n_atoms,
+                            max_size=n_atoms))
+    else:
+        n_atoms = draw(st.integers(1, 30))
+        raw = draw(st.lists(st.integers(0, 9), min_size=n_atoms,
+                            max_size=n_atoms))
+        raw[-1] += 1  # some atom has positive weight
+        density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        events = [frozenset(a for a in range(n_atoms)
+                            if rng.random() < density)
+                  for _ in range(draw(st.integers(k, 24)))]
+    return rational_space(raw), events, k
+
+
+@st.composite
+def pairwise_problems(draw, max_events=None):
+    """(space, events, eps): up to N(eps) + 1 events (or max_events), each
+    a window of a cyclic order of the atoms holding a 1/eps_den share of
+    them or one more, on uniform or random positive weights."""
+    eps_den = draw(st.sampled_from([2, 3, 4]))
+    n_atoms = eps_den * draw(st.integers(1, 6))
+    raw = draw(st.one_of(st.just([1] * n_atoms), st.lists(
+        st.integers(1, 9), min_size=n_atoms, max_size=n_atoms)))
+    order = draw(st.permutations(range(n_atoms)))
+    width = n_atoms // eps_den + draw(st.integers(0, 1))
+    starts = draw(st.lists(st.integers(0, n_atoms - 1), min_size=2,
+                           max_size=max_events or eps_den ** 2 + 1))
+    events = [frozenset(order[(s + t) % n_atoms] for t in range(width))
+              for s in starts]
+    return rational_space(raw), events, Fraction(1, eps_den)
+
+
+class TestWitnessSearchDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(k_problems(), st.booleans())
+    def test_k_intersection_matches_the_plain_scan(self, problem, lenient):
+        # lenient: no sufficient event count, so a miss is a violation
+        with mock.patch.object(measure, "sufficient_events",
+                               (lambda eps, k: 0) if lenient
+                               else measure.sufficient_events):
+            want = outcome(scan_k_intersection, *problem)
+            got = outcome(find_k_intersection, *problem)
+        event(f"k={problem[2]}: {label(want)}")
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda lenient: st.tuples(
+        pairwise_problems(max_events=3 if lenient else None),
+        st.just(lenient))))
+    def test_pairwise_check_matches_the_plain_scan(self, drawn):
+        # lenient: any two events are enough, so a violation can happen
+        problem, lenient = drawn
+        with mock.patch.object(measure, "pairwise_threshold",
+                               (lambda eps: 2) if lenient
+                               else measure.pairwise_threshold):
+            want = outcome(scan_pairwise, *problem)
+            got = outcome(pairwise_threshold_check, *problem)
+        event(label(want))
+        assert got == want
