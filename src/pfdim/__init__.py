@@ -15,25 +15,22 @@ from .families import (ElemRef, FamilyAt, FamilyError, FamilyHandle,
                        count_family, family_signature, family_summary,
                        generate, get_family, list_families, make_homocyclic,
                        make_vector_space)
-from .abelian import (AbelianError, ExponentPolynomial, LinearTerm,
-                      StandardAtom, SymbolicCase, brute_count, derived_bound,
+from .abelian import (AbelianError, ExponentPolynomial, GuardedPoly,
+                      LinearTerm, StandardAtom, brute_count, derived_bound,
                       evaluate_poly, exact_count,
                       parse_standard_conjunction, select_case,
                       symbolic_count)
-from .vspace import (Coset, CosetCount, GuardedPoly, ThetaCase, VFPolynomial,
-                     VSpaceError, count_coset_difference, count_theta_case,
-                     fiber_compose, span_rank)
+from .vspace import (Coset, CosetCount, ThetaCase, VFPolynomial, VSpaceError,
+                     count_coset_difference, count_theta_case)
 from .dimension import (ChainReport, DeltaVerdict, DimensionError,
                         SpectrumReport, chain_detect, cluster_count,
-                        delta_compare, export_csv, export_json, fmv_spectrum)
+                        delta_compare, export_csv, fmv_spectrum)
 from .measure import (FiniteMeasureSpace, HypothesisError, MeasureError,
                       Witness, find_k_intersection, k_intersection_bound,
                       mu, mu_D_sequence, pairwise_threshold,
                       pairwise_threshold_check, space_from_json,
-                      space_to_json, truncated_inclusion_exclusion_ok,
-                      uniform_space)
-from .groups import (Group, builtin_group, eval_word, group_from_structure,
-                     group_to_structure, parse_word, triple_product_covers,
-                     word_arity, word_image)
+                      truncated_inclusion_exclusion_ok, uniform_space)
+from .groups import (Group, builtin_group, eval_word, parse_word,
+                     triple_product_covers, word_arity, word_image)
 
 __version__ = "0.1.0"

@@ -14,14 +14,13 @@ same case analysis into finitely many exponent polynomials
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .counting import Count
 from .gf import is_prime
 from .logic import PfdimError
-from .vspace import GuardedPoly
 
 NEGATION_CAP = 12
 SYMBOLIC_NEGATION_CAP = 4
@@ -313,9 +312,19 @@ def evaluate_poly(P: ExponentPolynomial, p: int, m: int, n: int) -> Count:
     return Count(total)
 
 
-# The catalogs' case record, under the name pfdim exports: an
-# ExponentPolynomial, its guard text, and ``fires(n, m, params)``.
-SymbolicCase = GuardedPoly
+@dataclass(frozen=True)
+class GuardedPoly:
+    """One case of a ``symbolic_count`` catalog: its polynomial, its guard
+    text, and the guard as a predicate ``fires(n, m, params)`` (left out of
+    equality)."""
+    poly: ExponentPolynomial
+    guard: str
+    fires: Callable[..., bool] = field(compare=False)
+
+    def to_json_dict(self) -> dict:
+        out = self.poly.to_json_dict()
+        out["guard"] = self.guard
+        return out
 
 
 def derived_bound(atoms: Sequence[StandardAtom], p: int) -> int:

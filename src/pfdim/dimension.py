@@ -11,7 +11,6 @@ first-class outcome.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -221,11 +220,6 @@ def fmv_spectrum(family: FamilyHandle, phi_text: str,
 
 # ---------------------------------------------------------------------------
 # export
-
-
-def export_json(report, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
 
 
 def export_csv(report, path: str) -> None:

@@ -108,8 +108,8 @@ class NestedPredSummary:
 # The five named families
 
 
-def _equiv_signature() -> Signature:
-    return make_signature(["S"], relations=[("E", ("S", "S"))])
+# one signature for every index of every equivalence family, built once
+_EQUIV_SIGNATURE = make_signature(["S"], relations=[("E", ("S", "S"))])
 
 
 def _earlyexample_sizes(k: int) -> Tuple[int, ...]:
@@ -135,6 +135,7 @@ _EQUIV_FAMILIES: Dict[str, Callable[[int], Tuple[int, ...]]] = {
     "findelta": _findelta_sizes,
     "rank2classes": _rank2classes_sizes,
 }
+_FAMILY_IDS = (*_EQUIV_FAMILIES, "convsupersimple")
 
 
 def _equiv_selectors(family_id: str):
@@ -190,14 +191,14 @@ def list_families() -> Dict[str, dict]:
 
 
 def get_family(family_id: str) -> FamilyHandle:
-    if family_id not in list_families():
+    if family_id not in _FAMILY_IDS:
         raise FamilyError(f"unknown familyId {family_id!r}")
     return FamilyHandle(family_id)
 
 
 def family_summary(family: FamilyHandle, index: int):
     fid = family.family_id
-    if fid not in _EQUIV_FAMILIES and fid != "convsupersimple":
+    if fid not in _FAMILY_IDS:
         raise FamilyError(f"unknown familyId {fid!r}")
     if index < 1:
         raise FamilyError("index must be >= 1")
@@ -218,7 +219,7 @@ def family_summary(family: FamilyHandle, index: int):
 
 def family_signature(family: FamilyHandle, index: int) -> Signature:
     if family.family_id in _EQUIV_FAMILIES:
-        return _equiv_signature()
+        return _EQUIV_SIGNATURE
     if family.family_id == "convsupersimple":
         return make_signature(
             ["S"], relations=[(f"P{i}", ("S",)) for i in range(1, index + 1)])

@@ -1,19 +1,18 @@
 """Built-in small groups, word expressions, word-map images, and triple
 products.
 
-Groups are plain multiplication tables over elements 0..n-1 (0 = identity),
-convertible to/from the structure format.  The shipped catalog covers the
-cyclic groups, S3, S4, A4, A5, and PSL(2,7); word-map experiments need these
-without an external group library.
+Groups are plain multiplication tables over elements 0..n-1 (0 = identity).
+The shipped catalog covers the cyclic groups, S3, S4, A4, A5, and PSL(2,7);
+word-map experiments need these without an external group library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import FrozenSet, List, Sequence, Tuple, Union
 
-from .logic import FiniteStructure, PfdimError, make_signature
+from .logic import PfdimError
 
 
 @dataclass(frozen=True)
@@ -136,41 +135,6 @@ def builtin_group(name: str) -> Group:
         else:
             raise PfdimError(f"unknown builtin group {name}")
     return _BUILTIN[name]
-
-
-def group_to_structure(G: Group) -> FiniteStructure:
-    sig = make_signature(
-        ["G"], functions=[("mul", ("G", "G"), "G"), ("inv", ("G",), "G")],
-        constants=[("e", "G")])
-    return FiniteStructure(
-        signature=sig, sizes={"G": G.n},
-        relations={},
-        functions={"mul": {(a, b): G.mul[a][b]
-                           for a in range(G.n) for b in range(G.n)},
-                   "inv": {(a,): G.inv[a] for a in range(G.n)}},
-        constants={"e": 0})
-
-
-def group_from_structure(M: FiniteStructure) -> Group:
-    """Read group tables back off a structure (mul/inv/e or add/neg/zero)."""
-    if "mul" in M.signature.functions:
-        mul_name, inv_name, e_name = "mul", "inv", "e"
-    elif "add" in M.signature.functions:
-        mul_name, inv_name, e_name = "add", "neg", "zero"
-    else:
-        raise PfdimError("structure carries no group tables")
-    sort = M.signature.functions[mul_name][0][0]
-    n = M.sizes[sort]
-    e = M.constants[e_name]
-    # re-index so the identity is element 0
-    order = [e] + [g for g in range(n) if g != e]
-    pos = {g: i for i, g in enumerate(order)}
-    mul_t = M.functions[mul_name]
-    inv_t = M.functions[inv_name]
-    mul = tuple(tuple(pos[mul_t[(order[a], order[b])]] for b in range(n))
-                for a in range(n))
-    inv = tuple(pos[inv_t[(order[a],)]] for a in range(n))
-    return Group("fromstructure", n, mul, inv)
 
 
 # ---------------------------------------------------------------------------

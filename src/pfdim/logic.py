@@ -416,6 +416,13 @@ class SchemaError(PfdimError):
     pass
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it is: not true (a bool), 2.9 or "0"."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def structure_from_json_dict(data: dict) -> FiniteStructure:
     """Build a structure from the interchange schema, validating invariants.
 
@@ -428,14 +435,14 @@ def structure_from_json_dict(data: dict) -> FiniteStructure:
         if key not in data:
             raise SchemaError(f"missing key: {key}")
     try:
-        sorts = [(d["name"], int(d["size"])) for d in data["sorts"]]
+        sorts = [(d["name"], _json_int(d["size"])) for d in data["sorts"]]
         relations = [(d["name"], tuple(d["sorts"]),
-                      [tuple(map(int, t)) for t in d["tuples"]])
+                      [tuple(map(_json_int, t)) for t in d["tuples"]])
                      for d in data.get("relations", [])]
         functions = [(d["name"], tuple(d["argSorts"]), d["resultSort"],
-                      [list(map(int, row)) for row in d["table"]])
+                      [list(map(_json_int, row)) for row in d["table"]])
                      for d in data.get("functions", [])]
-        constants = [(d["name"], d["sort"], int(d["value"]))
+        constants = [(d["name"], d["sort"], _json_int(d["value"]))
                      for d in data.get("constants", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed structure file: {exc}") from exc

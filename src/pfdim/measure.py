@@ -69,17 +69,15 @@ def mu(space: FiniteMeasureSpace, event: Sequence[int]) -> Fraction:
     return sum((space.weights[a] for a in ids), Fraction(0))
 
 
-def space_to_json(space: FiniteMeasureSpace,
-                  events: Sequence[Event] = ()) -> str:
-    return json.dumps({
-        "weights": [f"{w.numerator}/{w.denominator}" for w in space.weights],
-        "events": [sorted(e) for e in events]})
-
-
 def space_from_json(text: str) -> Tuple[FiniteMeasureSpace, List[Event]]:
     data = json.loads(text)
     try:
-        weights = tuple(Fraction(w) for w in data["weights"])
+        weights = data["weights"]
+        # a weight is a JSON integer or a rational string: not true or 0.5
+        if not isinstance(weights, list) or not all(
+                type(w) is int or isinstance(w, str) for w in weights):
+            raise TypeError("weights must be integers or rational strings")
+        weights = tuple(Fraction(w) for w in weights)
         events = data.get("events", [])
         # an atom is a JSON integer: not true (a bool), 1.0 or "1"
         if not isinstance(events, list) or not all(

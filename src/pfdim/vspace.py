@@ -1,5 +1,5 @@
 """Exact counting for one-vector-variable definable sets over a finite
-vector space (V, F) with F = GF(q), plus the fibering composition step.
+vector space (V, F) with F = GF(q).
 
 The independence atom theta_n(u+w1,...,u+wm, w1',...,wm'') holds iff either
 
@@ -16,18 +16,14 @@ here by inclusion-exclusion over affine intersections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf
 from .counting import Count
 from .logic import FiniteStructure, PfdimError
-
-if TYPE_CHECKING:
-    from .abelian import ExponentPolynomial
 
 
 class VSpaceError(PfdimError):
@@ -161,13 +157,6 @@ def _decode_ids(amb: Ambient, vector_ids: Sequence[int]) -> List[Tuple[int, ...]
         if not 0 <= v < amb.size:
             raise VSpaceError(f"vector id {v} outside the vector sort")
     return [amb.decode(v) for v in vector_ids]
-
-
-def span_rank(space: Space, vector_ids: Sequence[int]) -> int:
-    """Rank of the given vectors of the vector sort; the span has exactly
-    q^rank elements."""
-    amb = ambient_of(space)
-    return gf.rank(amb.F, _decode_ids(amb, vector_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -338,50 +327,3 @@ def count_coset_difference(space: Space, include: Sequence[Coset],
                 mono = VFPolynomial.monomial(0, e, sign)
             poly = poly + mono
     return CosetCount(Count(total), poly)
-
-
-# ---------------------------------------------------------------------------
-# Fibering composition
-
-
-@dataclass(frozen=True)
-class GuardedPoly:
-    """A count polynomial, its guard text, and optionally the guard as a
-    predicate (left out of equality): fibering and abelian catalog cases."""
-    poly: Union[VFPolynomial, "ExponentPolynomial"]
-    guard: str
-    fires: Optional[Callable[..., bool]] = field(default=None, compare=False)
-
-    def to_json_dict(self) -> dict:
-        out = self.poly.to_json_dict()
-        out["guard"] = self.guard
-        return out
-
-
-def fiber_compose(outer: Sequence[GuardedPoly],
-                  inner: Sequence[Sequence[GuardedPoly]]) -> List[GuardedPoly]:
-    """Compose fiber counts: for each selector h picking one inner case per
-    outer case, emit sum_i p_i * q_{i,h(i)} guarded by the conjunction of
-    the chosen inner guards."""
-    if len(inner) != len(outer):
-        raise VSpaceError("need one inner case set per outer case")
-    if any(len(cases) == 0 for cases in inner):
-        raise VSpaceError("non-exhaustive guard set: an inner set is empty")
-
-    results: List[GuardedPoly] = []
-
-    def rec(i: int, acc_poly: VFPolynomial, acc_guards: List[str],
-            acc_fires: List[Optional[Callable]]):
-        if i == len(outer):
-            guard = " & ".join(g for g in acc_guards if g) or "always"
-            fns = [f for f in acc_fires if f is not None]
-            fires = (lambda *a, _fns=tuple(fns): all(f(*a) for f in _fns)) if fns else None
-            results.append(GuardedPoly(acc_poly, guard, fires))
-            return
-        for case in inner[i]:
-            rec(i + 1, acc_poly + outer[i].poly * case.poly,
-                acc_guards + [case.guard],
-                acc_fires + [case.fires])
-
-    rec(0, ZERO, [], [])
-    return results

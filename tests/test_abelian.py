@@ -4,12 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from pfdim.abelian import (AbelianError, ExponentPolynomial, LinearTerm,
                            StandardAtom, brute_count, derived_bound,
                            evaluate_poly, exact_count, make_poly,
                            parse_standard_conjunction, select_case,
                            symbolic_count)
+from pfdim.counting import count
+from pfdim.families import make_homocyclic
+from pfdim.gf import vec_encode
+from pfdim.parser import parse_formula
 
 
 def atom_eq(xc, yc, negated=False):
@@ -187,3 +192,87 @@ class TestPrimeCheck:
     def test_beyond_the_limit_rejected(self):
         with pytest.raises(AbelianError, match="decided only below"):
             exact_count([atom_eq([1], [])], [], 10 ** 25, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The exact count against the enumeration engine on make_homocyclic(p, n, m).
+# Each atom is written as formula text with its literal base, so the engine
+# side never goes through the base normalization that exact_count and
+# brute_count share.
+
+SHAPES = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2),
+          (3, 1, 1), (3, 2, 1), (3, 1, 2)]
+GROUPS = {shape: make_homocyclic(*shape) for shape in SHAPES}
+
+
+def times(k, u):
+    """k*u as repeated add/neg."""
+    if k == 0:
+        return "zero"
+    text = u
+    for _ in range(abs(k) - 1):
+        text = f"add({text}, {u})"
+    return text if k > 0 else f"neg({text})"
+
+
+def term_text(term):
+    parts = [times(a, "x") for a in term.x_coeffs if a]
+    parts += [times(b, f"y{j + 1}") for j, b in enumerate(term.y_coeffs) if b]
+    text = parts[0] if parts else "zero"
+    for part in parts[1:]:
+        text = f"add({text}, {part})"
+    return text
+
+
+def atom_text(atom):
+    if atom.kind == "eq":
+        text = f"{term_text(atom.term)} = zero"
+    else:
+        k = atom.base ** atom.level
+        text = f"exists z:G. {times(k, 'z')} = {term_text(atom.term)}"
+    return f"!({text})" if atom.negated else f"({text})"
+
+
+@st.composite
+def conjunctions(draw):
+    p, n, m = draw(st.sampled_from(SHAPES))
+    s = draw(st.integers(1, 2))
+    coeff = st.integers(-4, 4)
+    # a unit coefficient of x keeps a negated atom from being unsatisfiable
+    x_coeff = st.one_of(st.sampled_from([1, -1]), coeff)
+    # b^l at most 9, with b = p, p^2, a coprime prime or 2p
+    bases = st.sampled_from([(p, 1), (p, 2), (p * p, 1), (5 - p, 1),
+                             (2 * p, 1)])
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        term = LinearTerm((draw(x_coeff),),
+                          tuple(draw(coeff) for _ in range(s)))
+        negated = draw(st.booleans())
+        if draw(st.booleans()):
+            atoms.append(StandardAtom("eq", term, negated=negated))
+        else:
+            base, level = draw(bases)
+            atoms.append(StandardAtom("div", term, level, negated, base))
+    # zero parameters leave x = 0 in the set of every positive atom, which
+    # keeps about half of the sets from being empty
+    if draw(st.booleans()):
+        return p, n, m, atoms, [(0,) * m] * s
+    coord = st.integers(0, p ** n - 1)
+    return p, n, m, atoms, [draw(st.tuples(*[coord] * m)) for _ in range(s)]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(conjunctions())
+def test_exact_count_matches_the_engine(case):
+    p, n, m, atoms, params = case
+    M = GROUPS[p, n, m]
+    text = " & ".join(atom_text(a) for a in atoms)
+    # x = x keeps x free when every atom has x-coefficient 0; the engine
+    # takes values only for the parameters the text names
+    phi = parse_formula(f"{text} & x = x", M.signature)
+    fixed = {f"y{j + 1}": vec_encode(y, p ** n)
+             for j, y in enumerate(params) if f"y{j + 1}" in text}
+    want = count(phi, M, fixed, ["x"]).value
+    event("empty" if want == 0 else "nonempty")
+    assert exact_count(atoms, params, p, n, m).value == want

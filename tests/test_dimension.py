@@ -8,8 +8,7 @@ import pytest
 
 from pfdim.counting import Count, CardinalitySequence
 from pfdim.dimension import (DimensionError, chain_detect, cluster_count,
-                             delta_compare, export_csv, export_json,
-                             fmv_spectrum)
+                             delta_compare, export_csv, fmv_spectrum)
 from pfdim.families import get_family
 
 
@@ -115,12 +114,11 @@ class TestSpectrum:
 
 
 class TestExports:
-    def test_json_roundtrips_through_loads(self, tmp_path):
+    def test_json_roundtrips_through_loads(self):
         fam = get_family("findelta")
         report = fmv_spectrum(fam, "E(x, y)", [4, 6, 8])
-        path = tmp_path / "spec.json"
-        export_json(report, str(path))
-        data = json.loads(path.read_text())
+        data = report.to_json_dict()
+        assert json.loads(json.dumps(data)) == data
         assert data["clusterCounts"] == [4, 6, 8]
 
     def test_csv_rows(self, tmp_path):

@@ -29,6 +29,19 @@ class TestCatalog:
         with pytest.raises(FamilyError):
             get_family("nosuchfamily")
 
+    def test_every_listed_family_and_no_other_is_known(self):
+        assert sorted(list_families()) == sorted(FAMILY_IDS)
+        for fid in FAMILY_IDS:
+            assert get_family(fid).family_id == fid
+
+    def test_equivalence_families_share_one_signature(self):
+        sigs = [family_signature(get_family(fid), index)
+                for fid in FAMILY_IDS if fid != "convsupersimple"
+                for index in (3, 64)]
+        assert all(sig is sigs[0] for sig in sigs)
+        conv = family_signature(get_family("convsupersimple"), 3)
+        assert sorted(conv.relations) == ["P1", "P2", "P3"]
+
 
 class TestSummaries:
     def test_earlyexample_class_sizes(self):

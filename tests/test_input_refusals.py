@@ -76,6 +76,29 @@ class TestMeasureKcap:
         assert (code, out) == (1, "")
         assert "malformed measure-space JSON" in err
 
+    # "1" would read as one atom of weight 1, and true or 1.0 as weight 1;
+    # four events on that atom have a witness for both commands
+    @pytest.mark.parametrize("weights", ["1", [True], [1.0], {"1": 1}],
+                             ids=["string", "bool", "float", "object"])
+    @pytest.mark.parametrize("command,arg", [("measure-kcap", ["--k", "2"]),
+                                             ("pairwise-check",
+                                              ["--eps", "1/2"])])
+    def test_weight_that_is_not_a_rational_exits_one(self, capsys, space,
+                                                     command, arg, weights):
+        path = space(weights, [[0]] * 4)
+        code, out, err = run(capsys, command, "--space", path, *arg)
+        assert (code, out) == (1, "")
+        assert "malformed measure-space JSON" in err
+
+    @pytest.mark.parametrize("weights", [[1], ["1"], ["1/1", 0], ["0.5", "1/2"]])
+    def test_integer_and_rational_string_weights_are_read(self, capsys, space,
+                                                          weights):
+        path = space(weights, [[0], [0]])
+        code, out, err = run(capsys, "measure-kcap", "--space", path,
+                             "--k", "2")
+        assert code == 0, err
+        assert json.loads(out)["indices"] == [0, 1]
+
 
 class TestAbelianR:
     ARGS = ("abelian-count", "--p", "3", "--n", "1", "--m", "1", "--r", "2",
@@ -189,6 +212,42 @@ class TestConstantWithArguments:
                              "--formula", "c(x) = x", "--count-vars", "x")
         assert (code, out) == (1, "")
         assert "1:1: constant c takes no arguments" in err
+
+
+class TestStructureFile:
+    """A size, a tuple entry, a table entry or a constant value that is not
+    a JSON integer is refused, not truncated or read digit by digit."""
+
+    E = {"name": "E", "sorts": ["S", "S"], "tuples": [[0, 1]]}
+
+    @pytest.mark.parametrize("data", [
+        {"sorts": [{"name": "S", "size": 2.9}],
+         "relations": [{"name": "E", "sorts": ["S", "S"],
+                        "tuples": [[0, 1.7], [True, "0"]]}]},
+        {"sorts": [{"name": "S", "size": 2.5}], "relations": [E]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "relations": [dict(E, tuples=[[0, 1.0]])]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "relations": [dict(E, tuples=[[True, 0]])]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "relations": [dict(E, tuples=[["0", 1]])]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "relations": [dict(E, tuples=["01"])]},
+        {"sorts": [{"name": "S", "size": 2}], "relations": [E],
+         "functions": [{"name": "f", "argSorts": ["S"], "resultSort": "S",
+                        "table": [[0, 1.0], [1, 0]]}]},
+        {"sorts": [{"name": "S", "size": 2}], "relations": [E],
+         "constants": [{"name": "c", "sort": "S", "value": True}]},
+    ], ids=["mixed", "size", "float-entry", "bool-entry", "string-entry",
+            "string-tuple", "table-entry", "constant-value"])
+    def test_entry_that_is_not_an_integer_exits_one(self, capsys, tmp_path,
+                                                    data):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "count", "--structure", str(path),
+                             "--formula", "E(x, y)", "--count-vars", "x,y")
+        assert (code, out) == (1, "")
+        assert "malformed structure file" in err
 
 
 class TestFamilyOptions:

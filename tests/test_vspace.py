@@ -7,9 +7,8 @@ import pytest
 
 from pfdim.families import make_vector_space
 from pfdim.gf import vec_add, vec_scale
-from pfdim.vspace import (Coset, GuardedPoly, ONE, VFPolynomial, VSpaceError,
-                          ZERO, ambient_of, count_coset_difference,
-                          count_theta_case, fiber_compose, span_rank)
+from pfdim.vspace import (Coset, VFPolynomial, ZERO, ambient_of,
+                          count_coset_difference, count_theta_case)
 
 
 def all_vectors(amb):
@@ -115,33 +114,3 @@ class TestCosetDifference:
         assert got.count.value == 8 - 4
         # V - F^2 as a polynomial
         assert got.poly.evaluate(8, 2) == 4
-
-
-class TestSpanRank:
-    def test_rank_of_ids(self):
-        space = make_vector_space(2, 3)
-        amb = ambient_of(space)
-        ids = [amb.encode((1, 0, 0)), amb.encode((0, 1, 0)),
-               amb.encode((1, 1, 0))]
-        assert span_rank(space, ids) == 2
-
-
-class TestFiberCompose:
-    def test_two_by_one(self):
-        outer = [GuardedPoly(VFPolynomial.monomial(1, 0), "g0"),
-                 GuardedPoly(VFPolynomial.monomial(0, 1), "g1")]
-        inner = [[GuardedPoly(VFPolynomial.constant(2), "h00"),
-                  GuardedPoly(VFPolynomial.monomial(0, 1), "h01")],
-                 [GuardedPoly(VFPolynomial.constant(3), "h10")]]
-        cases = fiber_compose(outer, inner)
-        assert len(cases) == 2
-        values = sorted(c.poly.evaluate(8, 2) for c in cases)
-        assert values == [8 * 2 + 2 * 3, 8 * 2 + 2 * 3]
-        assert {c.guard for c in cases} == {"h00 & h10", "h01 & h10"}
-
-    def test_shape_validation(self):
-        outer = [GuardedPoly(ONE, "g")]
-        with pytest.raises(VSpaceError):
-            fiber_compose(outer, [])
-        with pytest.raises(VSpaceError):
-            fiber_compose(outer, [[]])
