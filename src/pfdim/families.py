@@ -25,6 +25,12 @@ structure whose elements are the blocks (``E`` relates blocks of one class,
 compiled evaluator (``counting.compile_formula``) on it with each parameter
 on its singleton block, and adds the size of every block the counted
 variable satisfies the formula on.
+
+A request is parsed once and compiled once per block shape: the
+``FamilyAt``s of one ``family_sequence`` call share one memo, so a steps
+list is parsed once while the signature stays the same object, and a
+quantifier-free formula's truth on each block is computed once per block
+shape, which does not depend on the block sizes.
 """
 
 from __future__ import annotations
@@ -172,19 +178,21 @@ def _equiv_selectors(family_id: str):
                 return {"y": s.element((i - 1) * index)}
             return pick
         return {f"class-level-{i}": level(i) for i in range(1, 9)}
-    if family_id == "rank2classes":
-        return {
-            "big-class": lambda index, s: {"y": s.element(index)},
-            "small-class": lambda index, s: {"y": s.element(0)},
-        }
-    return {}
+    return {   # rank2classes
+        "big-class": lambda index, s: {"y": s.element(index)},
+        "small-class": lambda index, s: {"y": s.element(0)},
+    }
+
+
+# every selector of every equivalence family, built once
+_EQUIV_SELECTORS = {fid: _equiv_selectors(fid) for fid in _EQUIV_FAMILIES}
 
 
 def list_families() -> Dict[str, dict]:
     out = {}
-    for fid in _EQUIV_FAMILIES:
+    for fid, selectors in _EQUIV_SELECTORS.items():
         out[fid] = {"kind": "equivalence", "parameters": ["index"],
-                    "selectors": sorted(_equiv_selectors(fid))}
+                    "selectors": sorted(selectors)}
     out["convsupersimple"] = {"kind": "nested-predicates",
                               "parameters": ["index"], "selectors": []}
     return out
@@ -335,40 +343,71 @@ def check_one_counted(phi, params: Dict[str, ElemRef]) -> None:
 
 
 def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
-                 counted: List[str]) -> Union[Count, str]:
+                 counted: List[str], memo: Optional[dict] = None
+                 ) -> Union[Count, str]:
     """The block-route count of ``phi`` over its ``counted`` variables (its
-    free variables outside ``params``), or the reason the route declines."""
+    free variables outside ``params``), or the reason the route declines.
+    ``memo`` keeps, per formula and block shape, the truth on each block
+    or the reason; the count adds up the sizes of the true blocks."""
     if len(counted) > 1:
         return f"{len(counted)} counted variables"
     if isinstance(summary, EquivSummary):
         blocks = _equiv_blocks(summary, params)
+        # E reads only which blocks share a class: number the classes in
+        # order of first appearance (the lumped block's None stays None)
+        first: Dict[int, int] = {}
+        classes = tuple(None if b.class_index is None
+                        else first.setdefault(b.class_index, len(first))
+                        for b in blocks)
     elif params:
         return "parameters on a nested-predicate family"
     else:
         blocks = _pred_blocks(summary)
+        classes = tuple(b.class_index for b in blocks)  # P<k> reads levels
     # each parameter sits on the index of its singleton block
     slot = {(b.param.class_index, b.param.offset): i
             for i, b in enumerate(blocks) if b.param is not None}
     fixed = {v: slot[ref.class_index, ref.offset] for v, ref in params.items()}
+    # the entry keeps phi, so its id is not reused while the memo lives
+    key = ("blocks", id(phi), classes, tuple(fixed.items()), tuple(counted))
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = (phi, _block_truths(summary, sig, phi, blocks, fixed,
+                                        counted))
+    truths = memo[key][1]
+    if isinstance(truths, str):
+        return truths
+    if not counted:
+        return Count(1 if truths[0] else 0)
+    return Count(sum(b.size for b, true in zip(blocks, truths) if true))
+
+
+def _block_truths(summary, sig: Signature, phi, blocks, fixed: Dict[str, int],
+                  counted: List[str]) -> Union[List[bool], str]:
+    """The truth of ``phi`` with its counted variable on each block in turn
+    (one truth when nothing is counted), or why the blocks cannot tell."""
     test, env, visits = compile_formula(
         phi, _quotient(summary, sig, blocks), fixed, counted)
     if visits:
         return "a quantifier"  # blocks are not closed under quantification
     if not counted:
-        return Count(1 if test(env) else 0)
+        return [bool(test(env))]
     x = len(fixed)
-    acc = 0
-    for i, b in enumerate(blocks):
+    truths = []
+    for i in range(len(blocks)):
         env[x] = i
-        if test(env):
-            acc += b.size
-    return Count(acc)
+        truths.append(bool(test(env)))
+    return truths
 
 
 class FamilyAt:
     """One family at one index: its block summary and signature, built
     once, the one place a step's formula text becomes a formula, and the
-    one route chooser for every count at that index."""
+    one route chooser for every count at that index.
+
+    ``memo`` holds the formula-level work of one request: parsed steps,
+    free variables and block truths.  It is private to this index unless
+    ``family_sequence`` hands every index of its request the same one."""
 
     def __init__(self, family: FamilyHandle, index: int):
         self.family = family
@@ -376,9 +415,10 @@ class FamilyAt:
         self.summary = family_summary(family, index)
         self.signature = family_signature(family, index)
         self._structure: Optional[FiniteStructure] = None
+        self.memo: dict = {}
 
     def selector(self, name: str) -> Dict[str, ElemRef]:
-        sels = _equiv_selectors(self.family.family_id)
+        sels = _EQUIV_SELECTORS.get(self.family.family_id, {})
         if name not in sels:
             raise FamilyError(
                 f"{self.family.family_id}: unknown selector {name!r}")
@@ -387,18 +427,36 @@ class FamilyAt:
     def conjunctions(self, steps: Sequence[Tuple[str, Optional[str]]]
                      ) -> List[Tuple[Formula, Dict[str, ElemRef]]]:
         """``(phi, params)`` for each prefix conjunction of the
-        ``(formula text, selector)`` steps, each text parsed at this index.
-        A step with a selector has its ``y`` renamed to ``y#<step>``, a
-        name no formula text can use, fixed to the selector's element."""
+        ``(formula text, selector)`` steps, each text parsed with this
+        index's signature (once per request while the signature is the
+        same object).  A step with a selector has its ``y`` renamed to
+        ``y#<step>``, a name no formula text can use, fixed to the
+        selector's element at this index."""
+        steps = tuple((text, selector) for text, selector in steps)
+        parsed = self.memo.get(("steps", steps))
+        fresh = parsed is None or parsed[0] is not self.signature
+        phis: List[Formula] = [] if fresh else parsed[1]
         out: List[Tuple[Formula, Dict[str, ElemRef]]] = []
         params: Dict[str, ElemRef] = {}
         for j, (text, selector) in enumerate(steps, start=1):
-            phi = parse_formula(text, self.signature)
+            if fresh:
+                phi = parse_formula(text, self.signature)
+                if selector:
+                    phi = rename_free(phi, "y", f"y#{j}")
+                phis.append(And(phis[-1], phi) if phis else phi)
             if selector:
-                phi = rename_free(phi, "y", f"y#{j}")
                 params = {**params, f"y#{j}": self.selector(selector)["y"]}
-            out.append((And(out[-1][0], phi) if out else phi, params))
+            out.append((phis[j - 1], params))
+        if fresh:
+            self.memo[("steps", steps)] = (self.signature, phis)
         return out
+
+    def _free(self, phi) -> List[str]:
+        """The names of the free variables of ``phi``, once per formula."""
+        key = ("free", id(phi))   # the entry keeps phi, so its id stays
+        if key not in self.memo:
+            self.memo[key] = (phi, [n for n, _ in free_variables(phi)])
+        return self.memo[key][1]
 
     def count(self, phi, params: Dict[str, ElemRef],
               budget: Optional[int] = None) -> Count:
@@ -407,10 +465,10 @@ class FamilyAt:
         the parameters not free in ``phi``.  When neither route can count
         (too large to build, or over the budget), the ``FamilyError``
         names both causes."""
-        free = [n for n, _ in free_variables(phi)]
+        free = self._free(phi)
         counted = [n for n in free if n not in params]
         result = _block_count(self.summary, self.signature, phi, params,
-                              counted)
+                              counted, self.memo)
         if isinstance(result, Count):
             return result
         fixed = {k: v.global_id for k, v in params.items() if k in free}
@@ -440,7 +498,7 @@ class FamilyAt:
                 "spectrum supported for equivalence families only")
         check_one_counted(phi, {"y": None})
         classes = [0]  # without y, every parameter gives the same count
-        if "y" in dict(free_variables(phi)):
+        if "y" in self._free(phi):
             first: Dict[int, int] = {}   # class size -> its first class
             for ci, size in enumerate(self.summary.class_sizes):
                 first.setdefault(size, ci)
@@ -453,13 +511,17 @@ class FamilyAt:
 def family_sequence(family: FamilyHandle, indices: Sequence[int],
                     at_index: Callable[[FamilyAt], object]) -> list:
     """``(n, at_index(FamilyAt(family, n)))`` for each distinct index ``n``
-    in increasing order: the one loop over a family's indices.  An error at
-    an index keeps its type, and its message starts with ``index n:``
-    (a parse diagnostic keeps its line:column form)."""
+    in increasing order: the one loop over a family's indices, and one
+    request, whose ``FamilyAt``s share one memo.  An error at an index
+    keeps its type, and its message starts with ``index n:`` (a parse
+    diagnostic keeps its line:column form)."""
     out = []
+    memo: dict = {}
     for n in sorted(set(indices)):
         try:
-            out.append((n, at_index(FamilyAt(family, n))))
+            at = FamilyAt(family, n)
+            at.memo = memo
+            out.append((n, at_index(at)))
         except PfdimError as exc:
             exc.args = (f"index {n}: {exc}",)
             raise

@@ -423,6 +423,20 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_name(value) -> str:
+    """A JSON string as it is: a sort or symbol name."""
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a name")
+    return value
+
+
+def _json_names(value) -> Tuple[str, ...]:
+    """A JSON list of names, not a string read letter by letter."""
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not a list of names")
+    return tuple(map(_json_name, value))
+
+
 def structure_from_json_dict(data: dict) -> FiniteStructure:
     """Build a structure from the interchange schema, validating invariants.
 
@@ -435,14 +449,17 @@ def structure_from_json_dict(data: dict) -> FiniteStructure:
         if key not in data:
             raise SchemaError(f"missing key: {key}")
     try:
-        sorts = [(d["name"], _json_int(d["size"])) for d in data["sorts"]]
-        relations = [(d["name"], tuple(d["sorts"]),
+        sorts = [(_json_name(d["name"]), _json_int(d["size"]))
+                 for d in data["sorts"]]
+        relations = [(_json_name(d["name"]), _json_names(d["sorts"]),
                       [tuple(map(_json_int, t)) for t in d["tuples"]])
                      for d in data.get("relations", [])]
-        functions = [(d["name"], tuple(d["argSorts"]), d["resultSort"],
+        functions = [(_json_name(d["name"]), _json_names(d["argSorts"]),
+                      _json_name(d["resultSort"]),
                       [list(map(_json_int, row)) for row in d["table"]])
                      for d in data.get("functions", [])]
-        constants = [(d["name"], d["sort"], _json_int(d["value"]))
+        constants = [(_json_name(d["name"]), _json_name(d["sort"]),
+                      _json_int(d["value"]))
                      for d in data.get("constants", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed structure file: {exc}") from exc

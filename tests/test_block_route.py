@@ -10,21 +10,24 @@ or when a ``convsupersimple`` count is given parameters.  The route
 chooser ``FamilyAt.count`` must return the engine's count either way, and
 the family counts built on it (``chain_detect``, ``fmv_spectrum``,
 ``mu_D_sequence``) must too.  A spectrum, which counts one class per
-distinct class size, must equal the counts over every class.
+distinct class size, must equal the counts over every class.  Counting
+through one request's shared memo must equal counting each index anew.
 """
 
 import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import (HealthCheck, event, example, given, settings,
+                        strategies as st)
 
 from pfdim import families
 from pfdim.counting import BudgetExceeded, Count, count
 from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
 from pfdim.families import (ElemRef, FamilyAt, FamilyError, _block_count,
-                            count_family, family_signature, family_summary,
-                            generate, get_family, list_families)
+                            count_family, family_sequence, family_signature,
+                            family_summary, generate, get_family,
+                            list_families)
 from pfdim.logic import free_variables
 from pfdim.measure import MeasureError, mu_D_sequence
 from pfdim.parser import parse_formula
@@ -255,6 +258,77 @@ def test_findelta_spectrum_counts_once_per_class_size(monkeypatch):
     logs = FamilyAt(get_family("findelta"), 64).spectrum("E(x, y)")
     assert len(calls) == 64          # not 64 * 64 classes
     assert len(logs) == 64
+
+
+# ---------------------------------------------------------------------------
+# One memo per request: counting along a family_sequence, with its parses
+# and block truths shared across indices, equals counting each index anew
+
+Y_ATOMS = ("E(x, y)", "E(y, x)", "x = y", "E(x, x)", "E(y, y)")
+
+
+def step_counts(steps):
+    """Each prefix conjunction's count at one index, then the spectrum of
+    the first step; an absent selector or a declined count is its error."""
+    def at_index(at):
+        try:
+            counts = [at.count(phi, params)
+                      for phi, params in at.conjunctions(steps)]
+        except FamilyError as exc:
+            counts = [str(exc)]
+        return counts, at.spectrum(steps[0][0])
+    return at_index
+
+
+@st.composite
+def requests(draw):
+    fid = draw(st.sampled_from(EQUIV_IDS))
+    selectors = list_families()[fid]["selectors"]
+    # y is a selector's element in each step that names y, so x is the
+    # one counted variable and the block route answers every count
+    steps = draw(st.lists(st.one_of(
+        st.tuples(formulas(("E(x, x)", "x = x")), st.none()),
+        st.tuples(formulas(Y_ATOMS), st.sampled_from(selectors))),
+        min_size=1, max_size=3))
+    indices = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    return fid, steps, indices
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(requests())
+# at index 4 both selectors pick class 4, so the two parameters share one
+# block there and not at 5 or 6: the block shape differs across indices
+@example(("earlyexample", [("E(x, y)", "class-4"),
+                           ("!(x = y)", "largest-class")], [4, 5, 6]))
+def test_shared_memo_matches_fresh_counts(case):
+    fid, steps, indices = case
+    family = get_family(fid)
+    at_index = step_counts(steps)
+    assert family_sequence(family, indices, at_index) == [
+        (n, at_index(FamilyAt(family, n))) for n in sorted(set(indices))]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fid=st.sampled_from(EQUIV_IDS), index=st.integers(1, 5),
+       text=formulas(("E(x, y)", "E(x, z)", "x = y", "y = z", "E(y, z)")),
+       data=st.data())
+def test_one_memo_matches_fresh_counts_for_any_parameters(fid, index, text,
+                                                          data):
+    # y and z anywhere, in either order: one memo counts them all
+    family = get_family(fid)
+    at = FamilyAt(family, index)
+    phi = parse_formula(text, at.signature)
+    summary = at.summary
+    for _ in range(4):
+        params = {}
+        for v in ("y", "z"):
+            ci = data.draw(st.integers(0, len(summary.class_sizes) - 1))
+            off = data.draw(st.integers(0, summary.class_sizes[ci] - 1))
+            params[v] = summary.element(ci, off)
+        assert at.count(phi, params) == FamilyAt(family, index).count(
+            phi, params)
 
 
 @pytest.mark.parametrize("fid,text,params,reason", [

@@ -4,7 +4,9 @@
 all loop over indices through ``families.family_sequence``: they count at
 the sorted distinct indices whatever order and repeats they are given,
 build one ``FamilyAt`` per index, and an error names the index it came
-from and keeps its type.
+from and keeps its type.  The ``FamilyAt``s of one call share one memo, so
+a steps list is parsed once while the signature is the same object, and a
+formula is compiled once per block shape.
 """
 
 import json
@@ -18,6 +20,7 @@ from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
 from pfdim.families import (FamilyAt, FamilyError, count_family,
                             family_sequence, get_family)
 from pfdim.measure import MeasureError, mu_D_sequence
+from pfdim.parser import ParseDiagnostic
 
 QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # the block route declines
 INDICES = [2, 3, 4, 8]
@@ -88,6 +91,56 @@ def test_selector_parameters_cannot_collide_with_formula_variables():
         [("E(x, y)", "class-1"), ("E(x, y1)", None)])
     assert families.counted_variables(phi, both) == ["x", "y1"]
     assert params == both
+
+
+# ---------------------------------------------------------------------------
+# One request, one memo: a steps list is parsed once while the signature is
+# the same object, and a formula is compiled once per block shape
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """How often ``families`` parses and compiles."""
+    made = {"parse_formula": 0, "compile_formula": 0}
+    for name in made:
+        def counting(*args, _name=name, _real=getattr(families, name)):
+            made[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(families, name, counting)
+    return made
+
+
+def test_a_chain_parses_each_step_once(calls):
+    chain_detect(get_family("earlyexample"),
+                 [("E(x, x)", None), ("E(x, y)", "largest-class"),
+                  ("!(x = y)", "class-1")], [2, 3, 4, 5, 6])
+    assert calls["parse_formula"] == 3
+
+
+def test_a_spectrum_compiles_once(calls):
+    # one block shape at every index: y's block, the rest of its class and
+    # the lumped other classes
+    fmv_spectrum(get_family("findelta"), "E(x, y) & !(x = y)",
+                 [8, 16, 32, 64])
+    assert calls == {"parse_formula": 1, "compile_formula": 1}
+
+
+def test_a_new_signature_is_parsed_again(calls):
+    family = get_family("convsupersimple")
+    chain_detect(family, [("P1(x)", None)], [2, 3, 4])
+    assert calls["parse_formula"] == 3
+    # P8 is not a relation at index 4, so no parse from index 8 can stand
+    with pytest.raises(ParseDiagnostic, match=r"^index 4: 1:1: unknown"):
+        chain_detect(family, [("P8(x)", None)], [8, 4])
+
+
+def test_one_memo_per_request():
+    family = get_family("earlyexample")
+    (_, first), (_, second) = family_sequence(family, [2, 3],
+                                              lambda at: at.memo)
+    (_, other), = family_sequence(family, [2], lambda at: at.memo)
+    assert first is second and other is not first
+    assert FamilyAt(family, 2).memo is not FamilyAt(family, 2).memo
 
 
 def run_cli(capsys, *argv):

@@ -216,7 +216,9 @@ class TestConstantWithArguments:
 
 class TestStructureFile:
     """A size, a tuple entry, a table entry or a constant value that is not
-    a JSON integer is refused, not truncated or read digit by digit."""
+    a JSON integer is refused, not truncated or read digit by digit; so is
+    a name that is not a JSON string, or sorts that are not a list of
+    them."""
 
     E = {"name": "E", "sorts": ["S", "S"], "tuples": [[0, 1]]}
 
@@ -246,6 +248,38 @@ class TestStructureFile:
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "count", "--structure", str(path),
                              "--formula", "E(x, y)", "--count-vars", "x,y")
+        assert (code, out) == (1, "")
+        assert "malformed structure file" in err
+
+    # a list name is unhashable, "SS" would read as ["S", "S"], and 5 or a
+    # list sort would be kept as a name the parser can never write
+    @pytest.mark.parametrize("data", [
+        {"sorts": [{"name": ["S"], "size": 2}]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "relations": [dict(E, sorts="SS")]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "relations": [dict(E, name=5)]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "relations": [dict(E, sorts=[["S"], "S"])]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "functions": [{"name": "f", "argSorts": "S", "resultSort": "S",
+                        "table": [[0, 1], [1, 0]]}]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "functions": [{"name": "f", "argSorts": ["S"], "resultSort": ["S"],
+                        "table": [[0, 1], [1, 0]]}]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "constants": [{"name": None, "sort": "S", "value": 0}]},
+        {"sorts": [{"name": "S", "size": 2}],
+         "constants": [{"name": "c", "sort": 0, "value": 0}]},
+    ], ids=["sort-name", "string-sorts", "relation-name", "list-sort",
+            "string-arg-sorts", "result-sort", "constant-name",
+            "constant-sort"])
+    def test_name_that_is_not_a_string_exits_one(self, capsys, tmp_path,
+                                                 data):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "count", "--structure", str(path),
+                             "--formula", "x = x", "--count-vars", "x")
         assert (code, out) == (1, "")
         assert "malformed structure file" in err
 
