@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import abelian, dimension, families, groups, measure, vspace
-from .counting import count as engine_count
+from .counting import AssignmentError, count as engine_count
 from .families import FamilyAt, count_family, get_family
 from .logic import PfdimError, load_structure
 from .parser import ParseDiagnostic, parse_formula
@@ -64,12 +64,19 @@ def _cmd_count(args) -> int:
     M = load_structure(args.structure)
     phi = parse_formula(args.formula, M.signature)
     fixed = {}
+    repeated = set()
     for item in args.fix or []:
         for piece in item.split(","):
             if not piece.strip():
                 continue
             name, _, val = piece.partition("=")
-            fixed[name.strip()] = int(val)
+            name = name.strip()
+            if name in fixed:
+                repeated.add(name)
+            fixed[name] = int(val)
+    if repeated:
+        raise AssignmentError(
+            f"variables fixed more than once: {sorted(repeated)}")
     counted = args.count_vars.split(",") if args.count_vars else []
     result = engine_count(phi, M, fixed, [v.strip() for v in counted],
                           budget=args.budget)

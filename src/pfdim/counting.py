@@ -2,9 +2,13 @@
 
 ``compile_formula`` turns a formula, for one structure, into nested
 closures over a flat slot list (one slot per variable and per binder).
-``count`` compiles once, then enumerates assignments for the counted
-variables serially and sums exact big-integer hits; ``evaluate`` and the
-block route of ``families.FamilyAt.count`` go through the same compiler.
+Each closure returns the bitmask of the last counted variable: the set of
+its values that satisfy the subformula, given the other slots (one set
+at a time, after Abo Khamis, Ngo and Rudra's FAQ).  ``count`` compiles
+once, enumerates the assignments of the other counted variables serially
+and adds up the masks' bit counts; ``evaluate`` and the block route of
+``families.FamilyAt.count`` count nothing, so their masks are one bit, the
+truth value.
 """
 
 from __future__ import annotations
@@ -80,6 +84,13 @@ class CardinalitySequence:
 # Evaluation.  A formula is compiled once per structure into nested closures
 # over a flat slot list.  Every binder gets a fresh slot, so a quantifier
 # loop writes its own slot and never saves or restores a shadowed value.
+#
+# Each closure returns a bitmask over the values of the last counted
+# variable v: bit b is set when the subformula holds with v = b.  An atom
+# that reads v looks its mask up in an index of the relation's table, built
+# on first use; the connectives are bitwise operations, and a quantifier
+# ORs (ANDs) its body's masks over the bound values.  With nothing counted
+# the mask has one bit, the truth value.
 
 
 def _unassigned(name: str):
@@ -88,21 +99,48 @@ def _unassigned(name: str):
     return value
 
 
+def _slots_read(t, scope) -> set:
+    """The slots term ``t`` reads (``None`` for a name without a slot)."""
+    if isinstance(t, Var):
+        return {scope.get(t.name)}
+    if isinstance(t, App):
+        return set().union(*[_slots_read(a, scope) for a in t.args])
+    return set()
+
+
+def _membership(M: FiniteStructure, name: str):
+    """The test ``tuple -> bool`` of relation ``name`` in ``M``."""
+    if name in M.virtual_relations:
+        return M.virtual_relations[name]
+    return M.relations[name].__contains__
+
+
 def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
                     counted: Sequence[str] = ()):
     """Compile ``phi`` for ``M`` into ``(test, env, visits)``.
 
     ``env`` is the slot list: the values of ``fixed``, then one slot for
-    each name in ``counted`` (for the caller to set), then one slot per
-    binder.  ``test(env)`` is the truth of ``phi`` in ``M`` under the
-    values in the slots.  ``visits`` is the most quantifier-loop visits
-    one call of ``test`` can make.  A free variable in neither ``fixed``
-    nor ``counted`` raises :class:`AssignmentError` only when evaluation
+    each name in ``counted``, then one slot per binder.  ``test(env)`` is
+    the set of values b of the last counted variable, as a bitmask, for
+    which ``phi`` holds in ``M`` with that variable at b and every other
+    variable at the value in its slot (the caller sets the other counted
+    variables' slots).  With nothing counted it is 1 or 0, the truth of
+    ``phi``.  ``visits`` is the most quantifier-loop visits one call of
+    ``test`` can make.  A free variable in neither ``fixed`` nor
+    ``counted`` raises :class:`AssignmentError` only when evaluation
     reaches it.
     """
     names = [*fixed, *counted]
     width = len(names)
     visits = 0
+    n_fixed = len(fixed)
+    # v: the slot of the last counted variable, whose values are the bits
+    # (read only when something is counted)
+    v = width - 1
+    domain = range(M.sizes[dict(free_variables(phi))[counted[-1]]]
+                   if counted else 1)
+    full = (1 << len(domain)) - 1
+    indexes: Dict[tuple, dict] = {}
 
     def term(t, scope):
         if isinstance(t, Var):
@@ -118,42 +156,127 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             return lambda env: table[tuple([a(env) for a in args])]
         raise TypeError(f"not a term: {t!r}")
 
-    def walk(f, scope, reach):
-        # reach: the product of the enclosing binders' sort sizes, the
-        # most times one evaluation can reach ``f``
-        nonlocal width, visits
-        if isinstance(f, Rel):
-            if f.name in M.virtual_relations:
-                holds = M.virtual_relations[f.name]
-            else:
-                holds = M.relations[f.name].__contains__
-            slots = [scope.get(a.name) if isinstance(a, Var) else None
-                     for a in f.args]
-            if None not in slots and len(slots) == 1:
-                i, = slots
-                return lambda env: holds((env[i],))
-            if None not in slots and len(slots) == 2:
-                i, j = slots
-                return lambda env: holds((env[i], env[j]))
-            args = [term(a, scope) for a in f.args]
-            return lambda env: holds(tuple([a(env) for a in args]))
+    def atom(f, scope):
+        # full or 0, reading v's slot like any other
         if isinstance(f, Eq):
             i = scope.get(f.left.name) if isinstance(f.left, Var) else None
             j = scope.get(f.right.name) if isinstance(f.right, Var) else None
             if i is not None and j is not None:
-                return lambda env: env[i] == env[j]
+                return lambda env: full if env[i] == env[j] else 0
             left, right = term(f.left, scope), term(f.right, scope)
-            return lambda env: left(env) == right(env)
+            return lambda env: full if left(env) == right(env) else 0
+        holds = _membership(M, f.name)
+        slots = [scope.get(a.name) if isinstance(a, Var) else None
+                 for a in f.args]
+        if None not in slots and len(slots) == 1:
+            i, = slots
+            return lambda env: full if holds((env[i],)) else 0
+        if None not in slots and len(slots) == 2:
+            i, j = slots
+            return lambda env: full if holds((env[i], env[j])) else 0
+        args = [term(a, scope) for a in f.args]
+        return lambda env: full if holds(tuple([a(env) for a in args])) else 0
+
+    def index(name, pos, others):
+        # one scan of the table: values at ``others`` -> mask of v's values
+        if (name, pos) not in indexes:
+            idx: dict = {}
+            p, rest = pos[0], pos[1:]
+            one = others[0] if len(others) == 1 else None
+            for tup in M.relations[name]:
+                b = tup[p]
+                if rest and any(tup[q] != b for q in rest):
+                    continue
+                k = tup[one] if one is not None else tuple([tup[o] for o in others])
+                idx[k] = idx.get(k, 0) | 1 << b
+            indexes[name, pos] = idx
+        return indexes[name, pos]
+
+    def relation_mask(f, pos, others, scope, reads):
+        # v bare at ``pos``; the terms at ``others`` do not read v
+        name, arity = f.name, len(f.args)
+        keys = [term(f.args[p], scope) for p in others]
+        steady = all(s is not None and s < n_fixed
+                     for p in others for s in reads[p])
+        if steady or name in M.virtual_relations:
+            # a key that reads only fixed slots is the same all through a
+            # count, and a virtual relation has no table to scan: fill each
+            # key's mask on first sight, one test per value of v
+            holds = _membership(M, name)
+            masks: dict = {}
+
+            def filled(env):
+                k = tuple([key(env) for key in keys])
+                m = masks.get(k)
+                if m is None:
+                    row = [None] * arity
+                    for p, value in zip(others, k):
+                        row[p] = value
+                    m = 0
+                    for b in domain:
+                        for p in pos:
+                            row[p] = b
+                        if holds(tuple(row)):
+                            m |= 1 << b
+                    masks[k] = m
+                return m
+            return filled
+        if len(keys) == 1:
+            key, = keys
+        else:
+            def key(env):
+                return tuple([k(env) for k in keys])
+        idx = None   # scanned on first use, so a refused count scans nothing
+
+        def scanned(env):
+            nonlocal idx
+            if idx is None:
+                idx = index(name, pos, others)
+            return idx.get(key(env), 0)
+        return scanned
+
+    def walk(f, scope, reach):
+        # reach: the product of the enclosing binders' sort sizes, the
+        # most times one evaluation can reach ``f``
+        nonlocal width, visits
+        if isinstance(f, (Rel, Eq)):
+            if not counted:
+                return atom(f, scope)
+            args = f.args if isinstance(f, Rel) else (f.left, f.right)
+            reads = [_slots_read(a, scope) for a in args]
+            pos = tuple(p for p, r in enumerate(reads) if v in r)
+            if not pos:
+                return atom(f, scope)
+            others = [p for p in range(len(args)) if p not in pos]
+            if any(not isinstance(args[p], Var) for p in pos):
+                # v under a function term: one scalar test per value of v
+                test = atom(f, scope)
+
+                def each(env):
+                    m = 0
+                    for b in domain:
+                        env[v] = b
+                        if test(env):
+                            m |= 1 << b
+                    return m
+                return each
+            if isinstance(f, Rel):
+                return relation_mask(f, pos, others, scope, reads)
+            if not others:
+                return lambda env: full           # v = v
+            other = term(args[others[0]], scope)
+            return lambda env: 1 << other(env)    # w = v
         if isinstance(f, Not):
             body = walk(f.body, scope, reach)
-            return lambda env: not body(env)
+            return lambda env: full ^ body(env)
         if isinstance(f, (And, Or, Implies)):
             left, right = walk(f.left, scope, reach), walk(f.right, scope, reach)
             if isinstance(f, And):
-                return lambda env: left(env) and right(env)
+                return lambda env: (m := left(env)) and m & right(env)
             if isinstance(f, Or):
-                return lambda env: left(env) or right(env)
-            return lambda env: not left(env) or right(env)
+                return lambda env: (m if (m := left(env)) == full
+                                    else m | right(env))
+            return lambda env: (full ^ m) | right(env) if (m := left(env)) else full
         if isinstance(f, (Exists, Forall)):
             k = width
             width += 1
@@ -162,30 +285,35 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             body = walk(f.body, {**scope, f.var: k}, reach * len(values))
             if isinstance(f, Exists):
                 def exists(env):
-                    for v in values:
-                        env[k] = v
-                        if body(env):
-                            return True
-                    return False
+                    m = 0
+                    for b in values:
+                        env[k] = b
+                        m |= body(env)
+                        if m == full:
+                            break
+                    return m
                 return exists
 
             def forall(env):
-                for v in values:
-                    env[k] = v
-                    if not body(env):
-                        return False
-                return True
+                m = full
+                for b in values:
+                    env[k] = b
+                    m &= body(env)
+                    if not m:
+                        break
+                return m
             return forall
         raise TypeError(f"not a formula node: {f!r}")
 
     test = walk(phi, {name: i for i, name in enumerate(names)}, 1)
+    del walk, term   # they reach themselves through their cells
     return test, [*fixed.values(), *[0] * (width - len(fixed))], visits
 
 
 def evaluate(phi: Formula, M: FiniteStructure, assignment: Dict[str, int]) -> bool:
     """Tarskian truth of ``phi`` in ``M`` under ``assignment`` (name -> id)."""
     test, env, _ = compile_formula(phi, M, assignment)
-    return test(env)
+    return bool(test(env))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +328,9 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
     ``counted_vars`` (without repeats) and the domain of ``fixed`` must
     partition the free variables of ``phi`` (disjointly), and each fixed
     value must be an element of its variable's sort.  ``phi`` is compiled
-    once and run on every assignment, serially.  The budget (default
+    once and run on every assignment of the counted variables but the
+    last, serially; each run gives the last one's values as a bitmask.
+    The budget (default
     ``PFDIM_BUDGET``) bounds the steps before any is taken: the number of
     assignments times one plus the most quantifier-loop visits per
     assignment.
@@ -231,30 +361,25 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             raise AssignmentError(
                 f"fixed value {v}={value} is outside sort {sorts[v]} "
                 f"(elements 0..{n - 1})")
+    domains = [range(_sort_size(M, v, sorts[v])) for v in counted_vars]
     # the counted variables' slots follow the fixed ones
     test, env, visits = compile_formula(phi, M, fixed, counted_vars)
-    domains = []
     total = 1 + visits
-    for v in counted_vars:
-        n = _sort_size(M, v, sorts[v])
-        domains.append(range(n))
-        total *= n
+    for domain in domains:
+        total *= len(domain)
     if total > (budget if budget is not None else get_budget()):
         raise BudgetExceeded(
             f"count could take {total} steps, assignments times quantifier "
             f"visits (budget exceeded)")
     if not counted_vars:
-        return Count(1 if test(env) else 0)
+        return Count(test(env))
 
-    # the innermost counted variable is set directly
+    # one test per assignment of the others gives the last one's values
     first, last = len(fixed), len(fixed) + len(counted_vars) - 1
     hits = 0
     for values in product(*domains[:-1]):
         env[first:last] = values
-        for v in domains[-1]:
-            env[last] = v
-            if test(env):
-                hits += 1
+        hits += test(env).bit_count()
     return Count(hits)
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .counting import CardinalitySequence
-from .families import (FamilyError, FamilyHandle, check_one_counted,
-                       family_sequence)
+from .families import FamilyError, FamilyHandle, family_sequence
 from .logic import PfdimError
 
 TAU_DEFAULT = math.log(100.0)
@@ -145,7 +144,7 @@ def chain_detect(family: FamilyHandle,
         counts = []
         for phi, params in at.conjunctions(steps):
             try:
-                check_one_counted(phi, params)
+                at.check_one_counted(phi, params)
                 counts.append(at.count(phi, params))
             except FamilyError as exc:
                 raise DimensionError(f"chain formula: {exc}") from exc

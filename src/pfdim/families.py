@@ -328,20 +328,6 @@ def _quotient(summary, sig: Signature, blocks) -> FiniteStructure:
                            virtual_relations=virtual)
 
 
-def counted_variables(phi, params: Dict[str, ElemRef]) -> List[str]:
-    """The free variables of ``phi`` that ``params`` leaves to be counted."""
-    return [n for n, _ in free_variables(phi) if n not in params]
-
-
-def check_one_counted(phi, params: Dict[str, ElemRef]) -> None:
-    """Refuse ``phi`` as a set of single elements when more than one of its
-    free variables is outside ``params``."""
-    counted = counted_variables(phi, params)
-    if len(counted) > 1:
-        raise FamilyError(f"{len(counted)} counted variables "
-                          f"({', '.join(counted)}); expected at most one")
-
-
 def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
                  counted: List[str], memo: Optional[dict] = None
                  ) -> Union[Count, str]:
@@ -386,13 +372,15 @@ def _block_truths(summary, sig: Signature, phi, blocks, fixed: Dict[str, int],
                   counted: List[str]) -> Union[List[bool], str]:
     """The truth of ``phi`` with its counted variable on each block in turn
     (one truth when nothing is counted), or why the blocks cannot tell."""
+    # the counted variable is one more fixed slot, set to each block in turn
+    x = len(fixed)
     test, env, visits = compile_formula(
-        phi, _quotient(summary, sig, blocks), fixed, counted)
+        phi, _quotient(summary, sig, blocks),
+        {**fixed, **dict.fromkeys(counted, 0)})
     if visits:
         return "a quantifier"  # blocks are not closed under quantification
     if not counted:
         return [bool(test(env))]
-    x = len(fixed)
     truths = []
     for i in range(len(blocks)):
         env[x] = i
@@ -458,6 +446,19 @@ class FamilyAt:
             self.memo[key] = (phi, [n for n, _ in free_variables(phi)])
         return self.memo[key][1]
 
+    def counted(self, phi, params: Dict[str, ElemRef]) -> List[str]:
+        """The free variables of ``phi`` that ``params`` leaves to be
+        counted."""
+        return [n for n in self._free(phi) if n not in params]
+
+    def check_one_counted(self, phi, params: Dict[str, ElemRef]) -> None:
+        """Refuse ``phi`` as a set of single elements when more than one of
+        its free variables is outside ``params``."""
+        counted = self.counted(phi, params)
+        if len(counted) > 1:
+            raise FamilyError(f"{len(counted)} counted variables "
+                              f"({', '.join(counted)}); expected at most one")
+
     def count(self, phi, params: Dict[str, ElemRef],
               budget: Optional[int] = None) -> Count:
         """Exact |phi(M_index, params)| by the block route, else by
@@ -466,7 +467,7 @@ class FamilyAt:
         (too large to build, or over the budget), the ``FamilyError``
         names both causes."""
         free = self._free(phi)
-        counted = [n for n in free if n not in params]
+        counted = self.counted(phi, params)
         result = _block_count(self.summary, self.signature, phi, params,
                               counted, self.memo)
         if isinstance(result, Count):
@@ -496,7 +497,7 @@ class FamilyAt:
         if self.family.family_id not in _EQUIV_FAMILIES:
             raise FamilyError(
                 "spectrum supported for equivalence families only")
-        check_one_counted(phi, {"y": None})
+        self.check_one_counted(phi, {"y": None})
         classes = [0]  # without y, every parameter gives the same count
         if "y" in self._free(phi):
             first: Dict[int, int] = {}   # class size -> its first class

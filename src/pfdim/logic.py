@@ -193,6 +193,7 @@ def free_variables(phi: Formula) -> list:
             raise TypeError(f"not a formula node: {f!r}")
 
     walk(phi, frozenset())
+    del walk, term   # they reach themselves through their cells
     return out
 
 
@@ -224,7 +225,9 @@ def rename_free(phi: Formula, old: str, new: str) -> Formula:
             return type(f)(f.var, f.sort, walk(f.body))
         raise TypeError(f"not a formula node: {f!r}")
 
-    return walk(phi)
+    out = walk(phi)
+    del walk, term
+    return out
 
 
 def sort_check(phi: Formula, sig: Signature) -> Formula:
@@ -315,7 +318,9 @@ def sort_check(phi: Formula, sig: Signature) -> Formula:
             return type(f)(f.var, f.sort, body)
         raise TypeError(f"not a formula node: {f!r}")
 
-    return walk(phi, {})
+    out = walk(phi, {})
+    del walk, term
+    return out
 
 
 # ---------------------------------------------------------------------------

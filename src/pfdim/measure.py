@@ -20,8 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .families import (FamilyError, FamilyHandle, counted_variables,
-                       family_sequence)
+from .families import FamilyError, FamilyHandle, family_sequence
 from .logic import PfdimError
 
 K_CAP = 5
@@ -107,8 +106,8 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
     def ratio(at):
         (phi_d, _), (phi_xd, params) = at.conjunctions(
             [(d_formula, d_selector), (x_formula, x_selector)])
-        d_vars = counted_variables(phi_d, params)
-        xd_vars = counted_variables(phi_xd, params)
+        d_vars = at.counted(phi_d, params)
+        xd_vars = at.counted(phi_xd, params)
         if len(xd_vars) > 1 or xd_vars != d_vars:
             raise MeasureError(
                 f"D and X must count at most one variable, the same one: "

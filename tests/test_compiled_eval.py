@@ -7,7 +7,9 @@ saving and restoring a bound variable around each quantifier.  It lives
 only in the tests.
 """
 
+import gc
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -276,6 +278,13 @@ class TestPartialAssignments:
         with pytest.raises(AssignmentError):
             evaluate(phi, M4, {"x": 0})
 
+    def test_quantifier_stops_at_its_first_witness(self):
+        # z = 0 decides each quantifier, so P(y) is never reached
+        for phi in (Exists("z", "S", Or(Eq(z, Const("c")), P(y))),
+                    Forall("z", "S", And(Not(Eq(z, Const("c"))), P(y)))):
+            phi = checked(phi)
+            assert evaluate(phi, M4, {}) == ref_eval(phi, M4, {})
+
     def test_bound_variable_needs_no_value(self):
         phi = checked(Forall("y", "S", Implies(E(x, y), Not(P(y)))))
         assert evaluate(phi, M4, {"x": 0})
@@ -303,3 +312,206 @@ class TestShadowing:
         assert not evaluate(phi, M4, {})
         phi = checked(E(Const("c"), App("f", (x,))))
         assert count(phi, M4, {}, ["x"]).value == 1
+
+
+# ---------------------------------------------------------------------------
+# The mask paths: ``compile_formula`` returns the set of values of the last
+# counted variable as a bitmask.  Structures with more than 64 elements make
+# the masks longer than a machine word; in the two-sorted case the counted
+# variable's sort and a binder's sort differ, so a mask built on the wrong
+# width shows.
+
+TWO = make_signature(["A", "B"],
+                     relations=[("R", ("A", "B")), ("Q", ("B",)),
+                                ("F", ("B", "B")), ("T", ("B", "B", "A"))],
+                     functions=[("g", ("B",), "B"), ("h", ("B",), "A")])
+
+
+def random_two_sorted(seed, n):
+    rng = random.Random(seed)
+    return FiniteStructure(
+        signature=TWO, sizes={"A": 3, "B": n},
+        relations={
+            "R": frozenset((a, b) for a in range(3) for b in range(n)
+                           if rng.random() < 0.4),
+            "Q": frozenset((b,) for b in range(n) if rng.random() < 0.5),
+            "F": frozenset((b, c) for b in range(n) for c in range(n)
+                           if rng.random() < 0.05),
+            "T": frozenset((b, c, a) for b in range(n) for c in range(n)
+                           for a in range(3)
+                           if rng.random() < (0.5 if b == c else 0.02))},
+        functions={"g": {(b,): rng.randrange(n) for b in range(n)},
+                   "h": {(b,): rng.randrange(3) for b in range(n)}},
+        constants={})
+
+
+# a and d range over A, b and c over B; a and b are the free names, and a
+# binder may reuse either
+B_TERMS = st.recursive(
+    st.builds(Var, st.sampled_from("bc"), st.just("B")),
+    lambda sub: st.builds(lambda t: App("g", (t,)), sub), max_leaves=2)
+A_TERMS = (st.builds(Var, st.sampled_from("ad"), st.just("A"))
+           | st.builds(lambda t: App("h", (t,)), B_TERMS))
+TWO_ATOMS = st.one_of(
+    st.builds(lambda a, b: Rel("R", (a, b)), A_TERMS, B_TERMS),
+    st.builds(lambda b: Rel("Q", (b,)), B_TERMS),
+    st.builds(lambda b, c: Rel("F", (b, c)), B_TERMS, B_TERMS),
+    st.builds(lambda b, c, a: Rel("T", (b, c, a)), B_TERMS, B_TERMS, A_TERMS),
+    st.builds(Eq, A_TERMS, A_TERMS), st.builds(Eq, B_TERMS, B_TERMS))
+
+
+@st.composite
+def two_sorted_formulas(draw, depth=3, quantifiers=2):
+    kinds = ["atom"]
+    if depth:
+        kinds += ["not", "and", "or", "implies"]
+        if quantifiers:
+            kinds += ["exists", "forall"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        return draw(TWO_ATOMS)
+    if kind == "not":
+        return Not(draw(two_sorted_formulas(depth - 1, quantifiers)))
+    if kind in ("exists", "forall"):
+        body = draw(two_sorted_formulas(depth - 1, quantifiers - 1))
+        var = draw(st.sampled_from("abcd"))
+        quant = Exists if kind == "exists" else Forall
+        return quant(var, "A" if var in "ad" else "B", body)
+    node = {"and": And, "or": Or, "implies": Implies}[kind]
+    return node(draw(two_sorted_formulas(depth - 1, quantifiers)),
+                draw(two_sorted_formulas(depth - 1, quantifiers)))
+
+
+def ref_count_sorted(phi, M, fixed, counted):
+    sorts = dict(free_variables(phi))
+    total = 0
+    for values in itertools.product(*[range(M.sizes[sorts[v]])
+                                      for v in counted]):
+        total += ref_eval(phi, M, {**fixed, **dict(zip(counted, values))})
+    return total
+
+
+MASK_SETTINGS = settings(max_examples=60, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+# B sizes on both sides of a 64-bit word, and tiny ones
+B_SIZES = st.sampled_from([1, 2, 5, 63, 64, 65, 70])
+
+
+@MASK_SETTINGS
+@given(data=st.data())
+def test_two_sorted_count_matches_reference(data):
+    M = random_two_sorted(data.draw(st.integers(0, 2 ** 32)),
+                          data.draw(B_SIZES))
+    phi = sort_check(data.draw(two_sorted_formulas()), TWO)
+    free = data.draw(st.permutations([n for n, _ in free_variables(phi)]))
+    sorts = dict(free_variables(phi))
+    n_counted = data.draw(st.integers(0, len(free)))
+    counted = free[:n_counted]
+    fixed = {v: data.draw(st.integers(0, M.sizes[sorts[v]] - 1))
+             for v in free[n_counted:]}
+    assert (count(phi, M, fixed, counted).value
+            == ref_count_sorted(phi, M, fixed, counted))
+
+
+def random_large(seed, n):
+    rng = random.Random(seed)
+    return FiniteStructure(
+        signature=SIG, sizes={"S": n},
+        relations={"E": frozenset((a, b) for a in range(n) for b in range(n)
+                                  if rng.random() < 0.1),
+                   "P": frozenset((a,) for a in range(n) if rng.random() < 0.5)},
+        functions={"f": {(a,): rng.randrange(n) for a in range(n)}},
+        constants={"c": rng.randrange(n)})
+
+
+def has_binder(phi):
+    if isinstance(phi, (Exists, Forall)):
+        return True
+    if isinstance(phi, Not):
+        return has_binder(phi.body)
+    if isinstance(phi, (And, Or, Implies)):
+        return has_binder(phi.left) or has_binder(phi.right)
+    return False
+
+
+@MASK_SETTINGS
+@given(data=st.data())
+def test_count_past_one_word_matches_reference(data):
+    n = data.draw(st.sampled_from([63, 64, 65, 70]))
+    M = random_large(data.draw(st.integers(0, 2 ** 32)), n)
+    phi = sort_check(data.draw(formulas(S_ATOMS, "S", quantifiers=1)), SIG)
+    free = data.draw(st.permutations([n for n, _ in free_variables(phi)]))
+    # two counted variables under a binder would take the reference too long
+    most = 1 if has_binder(phi) else 2
+    n_counted = data.draw(st.integers(0, min(most, len(free))))
+    counted = free[:n_counted]
+    fixed = {v: data.draw(st.integers(0, n - 1)) for v in free[n_counted:]}
+    assert (count(phi, M, fixed, counted).value
+            == ref_count(phi, M, fixed, counted, "S"))
+
+
+M70 = random_large(3, 70)
+
+
+class TestMasks:
+    def test_reflexive_atom_with_the_counted_variable_twice(self):
+        phi = checked(E(x, x))
+        loops = sum(1 for a, b in M70.relations["E"] if a == b)
+        assert count(phi, M70, {}, ["x"]).value == loops
+        phi = checked(And(E(x, x), E(x, y)))
+        assert count(phi, M70, {}, ["y", "x"]).value == ref_count(
+            phi, M70, {}, ["y", "x"], "S")
+
+    def test_ternary_table_with_the_counted_variable_twice(self):
+        M = random_two_sorted(5, 70)
+        a, b, c, d = (Var("a", "A"), Var("b", "B"), Var("c", "B"),
+                      Var("d", "A"))
+        for phi, counted in ((Rel("T", (b, b, a)), ["a", "b"]),
+                             (Exists("d", "A", Rel("T", (b, b, d))), ["b"]),
+                             (Exists("c", "B", Rel("T", (b, c, a))),
+                              ["a", "b"])):
+            phi = sort_check(phi, TWO)
+            assert count(phi, M, {}, counted).value == ref_count_sorted(
+                phi, M, {}, counted)
+
+    def test_binder_reusing_the_counted_name(self):
+        # the bound x is its own slot, not the counted x
+        phi = checked(And(E(x, y), Exists("x", "S", E(y, x))))
+        for counted in (["x", "y"], ["y", "x"]):
+            assert count(phi, M70, {}, counted).value == ref_count(
+                phi, M70, {}, counted, "S")
+        # M4: (0, 1) and (1, 2); y = 3 has no E-successor
+        assert count(phi, M4, {}, ["x", "y"]).value == 2
+
+    def test_sentence_counts_zero_or_one(self):
+        for phi, want in ((Exists("x", "S", P(x)), 1),
+                          (Forall("x", "S", P(x)), 0),
+                          (Exists("x", "S", Forall("y", "S", Not(E(y, x)))),
+                           1)):
+            phi = checked(phi)
+            assert count(phi, M4, {}, []).value == want
+            assert evaluate(phi, M4, {}) is bool(want)
+
+    def test_equalities_with_the_counted_variable(self):
+        for phi in (Eq(x, x), Eq(x, y), Eq(y, x), Eq(App("f", (x,)), y),
+                    Not(Eq(Const("c"), x))):
+            phi = checked(phi)
+            fixed = {"y": 69} if "y" in dict(free_variables(phi)) else {}
+            assert count(phi, M70, fixed, ["x"]).value == ref_count(
+                phi, M70, fixed, ["x"], "S")
+
+
+def test_count_and_evaluate_leave_no_cyclic_garbage():
+    # a compile drops its recursive helpers, so its closures, indexes and
+    # structure go as soon as the call returns
+    phi = checked(Or(Exists("z", "S", And(E(x, z), Not(E(z, y)))),
+                     And(P(App("f", (x,))), Eq(y, Const("c")))))
+    gc.collect()
+    gc.disable()
+    try:
+        count(phi, M70, {}, ["x", "y"])
+        count(phi, M70, {"y": 3}, ["x"])
+        evaluate(phi, M70, {"x": 1, "y": 2})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

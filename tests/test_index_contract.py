@@ -89,7 +89,7 @@ def test_selector_parameters_cannot_collide_with_formula_variables():
     at = FamilyAt(get_family("earlyexample"), 3)
     (_, params), (phi, both) = at.conjunctions(
         [("E(x, y)", "class-1"), ("E(x, y1)", None)])
-    assert families.counted_variables(phi, both) == ["x", "y1"]
+    assert at.counted(phi, both) == ["x", "y1"]
     assert params == both
 
 
@@ -123,6 +123,25 @@ def test_a_spectrum_compiles_once(calls):
     fmv_spectrum(get_family("findelta"), "E(x, y) & !(x = y)",
                  [8, 16, 32, 64])
     assert calls == {"parse_formula": 1, "compile_formula": 1}
+
+
+def test_a_request_walks_each_formula_once(monkeypatch):
+    # the counted variables come from the free variables FamilyAt keeps
+    walked = []
+    real = families.free_variables
+    monkeypatch.setattr(families, "free_variables",
+                        lambda phi: walked.append(phi) or real(phi))
+    family = get_family("earlyexample")
+    chain_detect(family, [("E(x, x)", None), ("E(x, y)", "largest-class"),
+                          ("!(x = y)", "class-1")], [2, 3, 4, 5, 6])
+    assert len(walked) == 3          # one per prefix conjunction
+    walked.clear()
+    mu_D_sequence(family, "E(x, x)", "E(x, y)", [2, 4, 8],
+                  x_selector="largest-class")
+    assert len(walked) == 2
+    walked.clear()
+    fmv_spectrum(family, "E(x, y) & !(x = y)", [2, 4, 8])
+    assert len(walked) == 1
 
 
 def test_a_new_signature_is_parsed_again(calls):

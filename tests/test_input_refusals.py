@@ -214,6 +214,25 @@ class TestConstantWithArguments:
         assert "1:1: constant c takes no arguments" in err
 
 
+class TestRepeatedFix:
+    """A variable fixed twice is refused, not counted at its last value."""
+
+    @pytest.mark.parametrize("fix", [["--fix", "y=1", "--fix", "y=2"],
+                                     ["--fix", "y=1,y=3"],
+                                     ["--fix", "y=1", "--fix", "y=1"]])
+    def test_refused(self, capsys, tmp_path, fix):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({
+            "sorts": [{"name": "S", "size": 4}],
+            "relations": [{"name": "E", "sorts": ["S", "S"],
+                           "tuples": [[0, 1], [0, 2]]}]}))
+        code, out, err = run(capsys, "count", "--structure", str(path),
+                             "--formula", "E(x,y)", "--count-vars", "x",
+                             *fix)
+        assert (code, out) == (1, "")
+        assert "variables fixed more than once: ['y']" in err
+
+
 class TestStructureFile:
     """A size, a tuple entry, a table entry or a constant value that is not
     a JSON integer is refused, not truncated or read digit by digit; so is
