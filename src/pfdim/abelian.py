@@ -232,29 +232,30 @@ def exact_count(atoms: Sequence[StandardAtom],
 def brute_count(atoms: Sequence[StandardAtom],
                 params: Sequence[Tuple[int, ...]],
                 p: int, n: int, m: int) -> Count:
-    """Reference oracle: direct enumeration of G = (Z/p^nZ)^m."""
+    """Reference oracle: direct enumeration of G = (Z/p^nZ)^m.
+
+    Each atom a*x + c = 0 (or q | a*x + c) is first tabulated per
+    coordinate t as the residues r with q | a*r + c_t, where c_t is the
+    parameter part; every x in G is then tested against those sets."""
     _check_prime(p)
     mod = p ** n
-    norm = [_normalize_atom(a, p) for a in atoms]
-    norm = [a for a in norm if a is not None]
-
-    def holds(atom: StandardAtom, x: Tuple[int, ...]) -> bool:
-        vals = []
+    tests = []
+    for atom in atoms:
+        atom = _normalize_atom(atom, p)
+        if atom is None:
+            continue
+        a = atom.term.x_coeffs[0] if atom.term.r else 0
+        q = mod if atom.kind == "eq" else p ** min(atom.level, n)
+        zs = []
         for t in range(m):
-            v = atom.term.x_coeffs[0] * x[t] if atom.term.r else 0
-            for b, y in zip(atom.term.y_coeffs, params):
-                v += b * y[t]
-            vals.append(v % mod)
-        if atom.kind == "eq":
-            ok = all(v == 0 for v in vals)
-        else:
-            q = p ** min(atom.level, n)
-            ok = all(v % q == 0 for v in vals)
-        return ok != atom.negated
-
+            c = sum(b * y[t] for b, y in zip(atom.term.y_coeffs, params))
+            zs.append(frozenset(r for r in range(mod)
+                                if (a * r + c) % mod % q == 0))
+        tests.append((zs, atom.negated))
     total = 0
     for x in product(range(mod), repeat=m):
-        if all(holds(a, x) for a in norm):
+        if all(all(map(frozenset.__contains__, zs, x)) != negated
+               for zs, negated in tests):
             total += 1
     return Count(total)
 

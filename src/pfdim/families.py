@@ -36,7 +36,7 @@ shape, which does not depend on the block sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf
@@ -248,15 +248,11 @@ def generate(family_id: str, index: int) -> FiniteStructure:
             raise FamilyError(
                 f"{family_id} index {index}: size budget exceeded "
                 f"({total} elements, {pairs} relation entries)")
-        table = set()
-        start = 0
-        for s in sizes:
-            for a in range(start, start + s):
-                for b in range(start, start + s):
-                    table.add((a, b))
-            start += s
+        table = frozenset(chain.from_iterable(
+            product(range(start, start + s), repeat=2)
+            for start, s in zip(accumulate(sizes, initial=0), sizes)))
         return FiniteStructure(signature=sig, sizes={"S": total},
-                               relations={"E": frozenset(table)},
+                               relations={"E": table},
                                functions={}, constants={})
     # convsupersimple: nested unary predicates on a domain of size n^n
     n = index

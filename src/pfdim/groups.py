@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from operator import getitem, itemgetter
 from typing import FrozenSet, List, Sequence, Tuple, Union
 
 from .logic import PfdimError
@@ -253,16 +254,46 @@ def parse_word(text: str) -> WordExpr:
     return e
 
 
+def _word_row(w: WordExpr, G: Group, args: Sequence[int], row: List[int]):
+    """``w`` evaluated with x_1..x_(d-1) fixed to ``args`` and x_d running
+    over ``row``: the list of values for a subword that reads x_d, else
+    one element."""
+    if isinstance(w, WVar):
+        return row if w.index == len(args) + 1 else args[w.index - 1]
+    if isinstance(w, WInv):
+        v = _word_row(w.body, G, args, row)
+        if isinstance(v, int):
+            return G.inv[v]
+        return list(map(G.inv.__getitem__, v))
+    if isinstance(w, WMul):
+        a = _word_row(w.left, G, args, row)
+        b = _word_row(w.right, G, args, row)
+        if isinstance(a, int):
+            if isinstance(b, int):
+                return G.mul[a][b]
+            return list(map(G.mul[a].__getitem__, b))
+        rows = map(G.mul.__getitem__, a)
+        if isinstance(b, int):
+            return list(map(itemgetter(b), rows))
+        return list(map(getitem, rows, b))
+    if isinstance(w, WIdent):
+        return 0
+    raise TypeError(f"not a word: {w!r}")
+
+
 def word_image(w: WordExpr, G: Group, budget: int = 10 ** 8) -> FrozenSet[int]:
-    """Exact image set {w(g_1..g_d)} by enumeration over G^d."""
+    """Exact image set {w(g_1..g_d)} by enumeration over G^d, one row at a
+    time: g_1..g_(d-1) fixed and g_d running over G.  Stops once the image
+    is all of G."""
     d = word_arity(w)
     if d == 0:
         return frozenset({0})
     if G.n ** d > budget:
         raise PfdimError(f"word image enumeration |G|^{d} exceeds budget")
+    last = list(range(G.n))
     out = set()
-    for args in product(range(G.n), repeat=d):
-        out.add(eval_word(w, G, args))
+    for args in product(range(G.n), repeat=d - 1):
+        out.update(_word_row(w, G, args, last))
         if len(out) == G.n:
             break
     return frozenset(out)

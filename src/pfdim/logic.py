@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Tuple, Union
 
 
@@ -355,10 +356,15 @@ class FiniteStructure:
             table = self.relations.get(name)
             if table is None:
                 raise StructureError(f"relation {name}: missing table")
-            for tup in table:
-                if len(tup) != len(args):
-                    raise StructureError(f"relation {name}: tuple arity mismatch")
-                for v, s in zip(tup, args):
+            if not table:
+                continue
+            # a whole column at a time: a generated table holds up to two
+            # million tuples
+            if set(map(len, table)) != {len(args)}:
+                raise StructureError(f"relation {name}: tuple arity mismatch")
+            for pos, s in enumerate(args):
+                ids = set(map(itemgetter(pos), table))
+                for v in (min(ids), max(ids)):
                     if not 0 <= v < self.sizes[s]:
                         raise StructureError(
                             f"relation {name}: id {v} out of bounds for sort {s}")

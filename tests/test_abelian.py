@@ -261,11 +261,7 @@ def conjunctions(draw):
     return p, n, m, atoms, [draw(st.tuples(*[coord] * m)) for _ in range(s)]
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(conjunctions())
-def test_exact_count_matches_the_engine(case):
-    p, n, m, atoms, params = case
+def engine_count(p, n, m, atoms, params):
     M = GROUPS[p, n, m]
     text = " & ".join(atom_text(a) for a in atoms)
     # x = x keeps x free when every atom has x-coefficient 0; the engine
@@ -275,4 +271,20 @@ def test_exact_count_matches_the_engine(case):
              for j, y in enumerate(params) if f"y{j + 1}" in text}
     want = count(phi, M, fixed, ["x"]).value
     event("empty" if want == 0 else "nonempty")
-    assert exact_count(atoms, params, p, n, m).value == want
+    return want
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(conjunctions())
+def test_exact_count_matches_the_engine(case):
+    p, n, m, atoms, params = case
+    assert exact_count(atoms, params, p, n, m).value == engine_count(*case)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(conjunctions())
+def test_brute_count_matches_the_engine(case):
+    p, n, m, atoms, params = case
+    assert brute_count(atoms, params, p, n, m).value == engine_count(*case)

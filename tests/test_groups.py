@@ -1,9 +1,14 @@
 """Group words, word images, and triple-product covering."""
 
-import pytest
+from itertools import product
 
-from pfdim.groups import (builtin_group, eval_word, parse_word,
-                          triple_product_covers, word_arity, word_image)
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pfdim import groups
+from pfdim.groups import (Group, WIdent, WInv, WMul, WVar, builtin_group,
+                          eval_word, parse_word, triple_product_covers,
+                          word_arity, word_image)
 from pfdim.logic import PfdimError
 
 
@@ -90,3 +95,66 @@ class TestWords:
         manual = {eval_word(w, G, (a, b))
                   for a in range(G.n) for b in range(G.n)}
         assert set(img) == manual
+
+
+def commutator(a, b):
+    return WMul(WMul(a, b), WMul(WInv(a), WInv(b)))
+
+
+WORDS = st.recursive(
+    st.one_of(st.builds(WVar, st.integers(1, 3)), st.just(WIdent())),
+    lambda inner: st.one_of(st.builds(WInv, inner),
+                            st.builds(WMul, inner, inner),
+                            st.builds(commutator, inner, inner)),
+    max_leaves=6)
+
+
+@st.composite
+def magmas(draw):
+    """A table with identity 0, the inverse of 0 being 0, and any other
+    products and inverses: it need not be associative, so the image shows
+    the order of every product."""
+    n = draw(st.integers(2, 6))
+    cell = st.integers(0, n - 1)
+    mul = [[a if b == 0 else b if a == 0 else draw(cell) for b in range(n)]
+           for a in range(n)]
+    inv = (0,) + tuple(draw(cell) for _ in range(n - 1))
+    return Group(f"M{n}", n, tuple(map(tuple, mul)), inv)
+
+
+# a magma in which (x*y^-1)*x has the image {0, 1, 3}, and all of M4 with
+# the factors of either product swapped
+M4 = Group("M4", 4, ((0, 1, 2, 3), (1, 3, 0, 1), (2, 3, 1, 2), (3, 0, 1, 0)),
+           (0, 0, 0, 1))
+
+TABLES = st.one_of(
+    st.sampled_from(["S3", "A4", "S4", "C12"]).map(builtin_group), magmas())
+
+
+class TestWordImageByRows:
+    """``word_image`` evaluates a row of G at a time; ``eval_word``, one
+    tuple at a time, is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(WORDS, TABLES)
+    @example(parse_word("y*y"), builtin_group("S4"))
+    @example(parse_word("z*x"), builtin_group("A4"))
+    @example(parse_word("[z,x^-1]*y"), builtin_group("S3"))
+    @example(parse_word("(x*y^-1)*x"), M4)
+    def test_matches_tuple_enumeration(self, w, G):
+        d = word_arity(w)
+        want = {eval_word(w, G, a) for a in product(range(G.n), repeat=d)}
+        assert word_image(w, G) == want
+
+    def test_surjective_word_stops_after_the_first_row(self, monkeypatch):
+        rows = []
+
+        def counted(*args, **kwargs):
+            for row in product(*args, **kwargs):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(groups, "product", counted)
+        G = builtin_group("S4")
+        assert word_image(parse_word("x*y*z"), G) == frozenset(range(G.n))
+        assert rows == [(0, 0)]

@@ -7,6 +7,8 @@ from pfdim.logic import (And, App, Const, Eq, Exists, FiniteStructure, Forall,
                          StructureError, Var, free_variables, make_signature,
                          rename_free, sort_check, structure_from_json_dict)
 from pfdim.counting import evaluate
+from pfdim.families import (family_summary, generate, get_family,
+                            list_families)
 
 
 SIG = make_signature(
@@ -91,7 +93,45 @@ class TestEvaluate:
         assert self.ev(phi, x=1)
 
 
+def two_element(E=frozenset(), P=frozenset()):
+    return FiniteStructure(signature=SIG, sizes={"S": 2},
+                           relations={"E": E, "P": P},
+                           functions={"f": {(0,): 0, (1,): 1}},
+                           constants={"c": 0})
+
+
 class TestStructureValidation:
+    @pytest.mark.parametrize("E,P,message", [
+        ({(0, 1), (1,)}, set(), "relation E: tuple arity mismatch"),
+        (set(), {(0, 1)}, "relation P: tuple arity mismatch"),
+        ({(0, 1), (1, -1)}, set(), "relation E: id -1 out of bounds"),
+        (set(), {(-3,), (1,)}, "relation P: id -3 out of bounds"),
+        ({(0, 0), (2, 1)}, set(), "relation E: id 2 out of bounds"),
+        (set(), {(0,), (2,)}, "relation P: id 2 out of bounds"),
+    ])
+    def test_bad_table_names_the_relation(self, E, P, message):
+        with pytest.raises(StructureError, match=message):
+            two_element(frozenset(E), frozenset(P))
+
+    def test_empty_tables_accepted(self):
+        M = two_element()
+        assert M.relations == {"E": frozenset(), "P": frozenset()}
+
+    @pytest.mark.parametrize("family_id", sorted(
+        set(list_families()) - {"convsupersimple"}))
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_generated_equivalence_is_the_class_blocks(self, family_id,
+                                                       index):
+        summary = family_summary(get_family(family_id), index)
+        want = set()
+        start = 0
+        for size in summary.class_sizes:
+            for a in range(start, start + size):
+                for b in range(start, start + size):
+                    want.add((a, b))
+            start += size
+        assert generate(family_id, index).relations["E"] == want
+
     def test_relation_tuple_out_of_range(self):
         with pytest.raises(StructureError):
             FiniteStructure(signature=SIG, sizes={"S": 2},
