@@ -6,9 +6,9 @@ Each closure returns the bitmask of the last counted variable: the set of
 its values that satisfy the subformula, given the other slots (one set
 at a time, after Abo Khamis, Ngo and Rudra's FAQ).  ``count`` compiles
 once, enumerates the assignments of the other counted variables serially
-and adds up the masks' bit counts; ``evaluate`` and the block route of
-``families.FamilyAt.count`` count nothing, so their masks are one bit, the
-truth value.
+and adds up the masks' bit counts; ``evaluate`` and
+``families.FamilyAt.count`` (on its small model, with every variable in a
+slot) count nothing, so their masks are one bit, the truth value.
 """
 
 from __future__ import annotations

@@ -1,49 +1,53 @@
 """Generators for the finite-structure families used in the growth-rate
 experiments, plus the 2-sorted vector spaces and homocyclic groups.
 
-Every family supports two counting routes:
+Each family at an index has a *summary*: the class sizes as
+``(size, multiplicity)`` runs, or the nested predicate sizes, exact big
+integers at indices far beyond any enumeration.  ``generate(index)``
+materializes the actual structure, only possible for small indices
+(equivalence tables grow like the square of the class sizes, and several
+families reach ~n^n elements); the tests use it as the engine's reference.
 
-* ``generate(index)`` materializes the actual structure (only possible for
-  small indices; equivalence tables grow like the square of the class sizes
-  and several families reach ~n^n elements), and
+``FamilyAt(family, index).count`` makes every family count, of every
+first-order formula, by one route (``_block_count``).  For a formula with
+k counted variables and quantifier rank b, r = k + b, it builds a small
+structure M' that the formula cannot tell from the family's structure
+(an r-round Ehrenfeucht-Fraisse argument): each class holding a parameter
+cut to its parameters plus r elements, and at most r classes of each size
+cut to r (each band of levels the formula's predicates cannot tell apart,
+on ``convsupersimple``).  The count sums, over the types of the counted
+tuple (each variable equal to an earlier element, fresh in a class already
+touched, or first in an untouched class of some size), the exact number of
+tuples of that type times the formula's truth at the type's representative
+in M', which the engine's compiled evaluator (``counting.compile_formula``)
+decides.  For a quantifier-free formula in one variable, M' is the old
+blocks: the parameters, one more element of each parameter's class, and
+one element for all the other classes.
+The budget (``PFDIM_BUDGET`` unless given) bounds the type leaves times
+one plus the quantifier-loop visits per evaluation.
 
-* a block *summary*: the universe partitioned into finitely many blocks on
-  which every supported atom is constant, with exact big-integer block
-  sizes.  Aggregate counting over blocks yields exact counts at indices far
-  beyond any enumeration budget and is cross-checked against the engine at
-  small indices in the test suite.
-
-``FamilyAt(family, index).count`` is the one place where a count chooses
-its route: the block summary first, and when that declines, materializing
-and enumerating.  Every family count goes through it, every formula text
-is parsed by ``FamilyAt.conjunctions``, and every count sequence loops
-over its indices in ``family_sequence`` (``count_family`` for one formula).
-
-Block counting has no formula evaluator of its own: it builds the quotient
-structure whose elements are the blocks (``E`` relates blocks of one class,
-``P<k>`` holds on blocks of level at least ``k``), runs the engine's
-compiled evaluator (``counting.compile_formula``) on it with each parameter
-on its singleton block, and adds the size of every block the counted
-variable satisfies the formula on.
-
-A request is parsed once and compiled once per block shape: the
-``FamilyAt``s of one ``family_sequence`` call share one memo, so a steps
-list is parsed once while the signature stays the same object, and a
-quantifier-free formula's truth on each block is computed once per block
-shape, which does not depend on the block sizes.
+Every formula text is parsed by ``FamilyAt.conjunctions``, and every count
+sequence loops over its indices in ``family_sequence`` (``count_family``
+for one formula).  A request is parsed once and compiled once per shape of
+M': the ``FamilyAt``s of one ``family_sequence`` call share one memo, which
+keeps the parsed steps, each formula's free variables and binder depths,
+and per shape the compiled formula and its truth at each type.  The shape
+stops depending on n once every class size exceeds r.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate, chain, product, repeat
+from operator import mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import gf
-from .counting import (BudgetExceeded, CardinalitySequence, Count,
-                       compile_formula, count as engine_count)
-from .logic import (And, FiniteStructure, Formula, PfdimError, Signature,
-                    free_variables, make_signature, rename_free)
+from .counting import CardinalitySequence, Count, compile_formula, get_budget
+from .logic import (And, Exists, FiniteStructure, Forall, Formula, Implies,
+                    Not, Or, PfdimError, Rel, Signature, free_variables,
+                    make_signature, rename_free)
 from .parser import parse_formula
 from .vspace import Ambient
 
@@ -77,29 +81,93 @@ class ElemRef:
 
 @dataclass(frozen=True)
 class EquivSummary:
-    """One-binary-equivalence family at one index: class sizes in canonical
-    order, elements laid out class after class."""
-    class_sizes: Tuple[int, ...]
-    # starts[ci] = sum(class_sizes[:ci]); the last entry is the total
+    """One-binary-equivalence family at one index: the classes as runs,
+    ``mults[j]`` classes of size ``sizes[j]``, sizes increasing, elements
+    laid out class after class."""
+    sizes: Tuple[int, ...]
+    mults: Tuple[int, ...]
+    # _first[j]: the index of run j's first class; _starts[j]: its first
+    # element.  The last entries are the class count and the total.
+    _first: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_starts",
-                           tuple(accumulate(self.class_sizes, initial=0)))
+        object.__setattr__(self, "_first", tuple(
+            accumulate(self.mults, initial=0)))
+        object.__setattr__(self, "_starts", tuple(
+            accumulate(map(mul, self.sizes, self.mults), initial=0)))
+
+    @property
+    def runs(self) -> Tuple[Tuple[int, int], ...]:
+        """``(size, multiplicity)`` for each run."""
+        return tuple(zip(self.sizes, self.mults))
+
+    @property
+    def class_sizes(self) -> Tuple[int, ...]:
+        return tuple(chain.from_iterable(map(repeat, self.sizes, self.mults)))
 
     @property
     def total(self) -> int:
         return self._starts[-1]
 
+    def _locate(self, ci: int) -> Tuple[int, int]:
+        """(size, first element) of class ``ci``."""
+        if not 0 <= ci < self._first[-1]:
+            raise FamilyError("class index out of range")
+        j = bisect_right(self._first, ci) - 1
+        size = self.sizes[j]
+        return size, self._starts[j] + (ci - self._first[j]) * size
+
+    def class_size(self, ci: int) -> int:
+        return self._locate(ci)[0]
+
     def class_start(self, ci: int) -> int:
-        return self._starts[ci]
+        return self._locate(ci)[1]
 
     def element(self, ci: int, offset: int = 0) -> ElemRef:
-        if not 0 <= ci < len(self.class_sizes):
-            raise FamilyError("class index out of range")
-        if not 0 <= offset < self.class_sizes[ci]:
+        size, start = self._locate(ci)
+        if not 0 <= offset < size:
             raise FamilyError("offset out of class bounds")
-        return ElemRef(ci, offset, self.class_start(ci) + offset)
+        return ElemRef(ci, offset, start + offset)
+
+    def first_class(self, size: int) -> Optional[int]:
+        """The index of the first class of ``size``, or None."""
+        try:
+            return self._first[self.sizes.index(size)]
+        except ValueError:
+            return None
+
+    def first_classes(self) -> Dict[int, int]:
+        """Each distinct class size -> the index of its first class."""
+        first: Dict[int, int] = {}
+        for size, ci in zip(self.sizes, self._first):
+            first.setdefault(size, ci)
+        return first
+
+    def kept(self, r: int, counts: bool
+             ) -> Dict[int, Tuple[Optional[Dict[int, int]], int, int]]:
+        """The classes grouped by their size cut to ``r``: t -> ({actual
+        size: classes} or None without ``counts``, classes, their
+        elements), t increasing.  Without ``counts`` only the runs below
+        r are visited."""
+        groups: Dict[int, Tuple[Optional[Dict[int, int]], int, int]] = {}
+        classes, elements = self._first[-1], self.total
+        j = 0
+        while j < len(self.sizes) and self.sizes[j] < r:
+            s, m = self.sizes[j], self.mults[j]
+            _, c, e = groups.get(s, (None, 0, 0))
+            groups[s] = {s: c + m}, c + m, e + s * m
+            classes -= m
+            elements -= s * m
+            j += 1
+        if classes:
+            rest: Optional[Dict[int, int]] = None
+            if counts:
+                rest = {}
+                for s, m in zip(self.sizes[j:], self.mults[j:]):
+                    rest[s] = rest.get(s, 0) + m
+            groups[r] = rest, classes, elements
+        return groups
 
 
 @dataclass(frozen=True)
@@ -118,28 +186,32 @@ class NestedPredSummary:
 _EQUIV_SIGNATURE = make_signature(["S"], relations=[("E", ("S", "S"))])
 
 
-def _earlyexample_sizes(k: int) -> Tuple[int, ...]:
-    return tuple(i * i for i in range(1, k + 1))
+# each equivalence family's classes at index n: (sizes, multiplicities)
+_Runs = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def _stablenonattainability_sizes(n: int) -> Tuple[int, ...]:
-    return tuple(n ** i for i in range(1, n + 1))
+def _earlyexample_runs(k: int) -> _Runs:
+    return tuple([i * i for i in range(1, k + 1)]), (1,) * k
 
 
-def _findelta_sizes(n: int) -> Tuple[int, ...]:
+def _stablenonattainability_runs(n: int) -> _Runs:
+    return tuple(accumulate(repeat(n, n), mul)), (1,) * n
+
+
+def _findelta_runs(n: int) -> _Runs:
     # n classes of size n^i for each level i = 1..n
-    return tuple(size for i in range(1, n + 1) for size in [n ** i] * n)
+    return tuple(accumulate(repeat(n, n), mul)), (n,) * n
 
 
-def _rank2classes_sizes(n: int) -> Tuple[int, ...]:
-    return tuple([n] * n + [n * n])
+def _rank2classes_runs(n: int) -> _Runs:
+    return (n, n * n), (n, 1)
 
 
-_EQUIV_FAMILIES: Dict[str, Callable[[int], Tuple[int, ...]]] = {
-    "earlyexample": _earlyexample_sizes,
-    "stablenonattainability": _stablenonattainability_sizes,
-    "findelta": _findelta_sizes,
-    "rank2classes": _rank2classes_sizes,
+_EQUIV_FAMILIES: Dict[str, Callable[[int], _Runs]] = {
+    "earlyexample": _earlyexample_runs,
+    "stablenonattainability": _stablenonattainability_runs,
+    "findelta": _findelta_runs,
+    "rank2classes": _rank2classes_runs,
 }
 _FAMILY_IDS = (*_EQUIV_FAMILIES, "convsupersimple")
 
@@ -150,11 +222,9 @@ def _equiv_selectors(family_id: str):
         def pick(index: int, s: EquivSummary) -> Dict[str, ElemRef]:
             if t > index:
                 raise FamilyError(f"class rank {t} absent at index {index}")
-            sizes = s.class_sizes
-            want = index ** (index - t)
-            for ci, sz in enumerate(sizes):
-                if sz == want:
-                    return {"y": s.element(ci)}
+            ci = s.first_class(index ** (index - t))
+            if ci is not None:
+                return {"y": s.element(ci)}
             raise FamilyError(f"no class of size {index}^{index - t}")
         return pick
 
@@ -219,7 +289,7 @@ def family_summary(family: FamilyHandle, index: int):
         raise FamilyError(f"{fid}: the summary would take about {bits} bits, "
                           f"over the limit of {MAX_SUMMARY_BITS}")
     if fid in _EQUIV_FAMILIES:
-        return EquivSummary(_EQUIV_FAMILIES[fid](index))
+        return EquivSummary(*_EQUIV_FAMILIES[fid](index))
     return NestedPredSummary(
         total=index ** index,
         pred_sizes=tuple(index ** (index - i) for i in range(1, index + 1)))
@@ -241,164 +311,336 @@ def generate(family_id: str, index: int) -> FiniteStructure:
     summary = family_summary(family, index)
     sig = family_signature(family, index)
     if family_id in _EQUIV_FAMILIES:
-        sizes = summary.class_sizes
         total = summary.total
-        pairs = sum(s * s for s in sizes)
+        pairs = sum(s * s * m for s, m in summary.runs)
         if total > MAX_UNIVERSE or pairs > MAX_TABLE_ENTRIES:
             raise FamilyError(
                 f"{family_id} index {index}: size budget exceeded "
                 f"({total} elements, {pairs} relation entries)")
-        table = frozenset(chain.from_iterable(
-            product(range(start, start + s), repeat=2)
-            for start, s in zip(accumulate(sizes, initial=0), sizes)))
-        return FiniteStructure(signature=sig, sizes={"S": total},
-                               relations={"E": table},
-                               functions={}, constants={})
+        return _equiv_structure(summary.class_sizes)
     # convsupersimple: nested unary predicates on a domain of size n^n
-    n = index
-    total = summary.total
-    if total > MAX_UNIVERSE:
-        raise FamilyError(
-            f"convsupersimple index {n}: size budget exceeded ({total} elements)")
-    relations = {}
-    for i in range(1, n + 1):
-        sz = summary.pred_sizes[i - 1]
-        relations[f"P{i}"] = frozenset((e,) for e in range(sz))
-    return FiniteStructure(signature=sig, sizes={"S": total},
-                           relations=relations, functions={}, constants={})
+    if summary.total > MAX_UNIVERSE:
+        raise FamilyError(f"convsupersimple index {index}: size budget "
+                          f"exceeded ({summary.total} elements)")
+    return _pred_structure(sig, summary.total, {
+        f"P{i}": size for i, size in enumerate(summary.pred_sizes, start=1)})
 
 
 # ---------------------------------------------------------------------------
-# Aggregate (block) counting
+# Counting on a small model
+#
+# Every first-order formula is counted the same way.  A formula phi with k
+# counted variables and quantifier rank b (its most nested binders) cannot
+# tell apart two structures, each with the same elements marked, in which
+#
+# * every class holding a marked element has the same number of unmarked
+#   elements, or at least b in both, and
+# * the classes without a marked element, sorted by size cut to b, come in
+#   the same number in both, or in at least b in both
+#
+# (the b-round Ehrenfeucht-Fraisse game; levels of nested predicates act
+# like classes that are told apart by name).  So with r = k + b the small
+# model M' below gives phi the same truth at a tuple as M does at any tuple
+# of the same *type*, the parameters marked throughout.  A type says, for
+# each counted variable in turn, that it is
+#
+# * equal to an earlier element (weight 1),
+# * a fresh element of a class already touched (weight: its size less the
+#   elements already used), or
+# * the first element of an untouched class of size s (weight: s times the
+#   untouched classes of size s left),
+#
+# and the product of the weights is the number of tuples of M of that type.
+# The count is the sum over the types, of exact integers, of that product
+# times phi's truth at the type's representative in M'.  The last counted
+# variable's untouched classes are taken together per size in M', since no
+# later weight depends on them.
 
 
-@dataclass(frozen=True)
-class _Block:
-    size: int
-    class_index: Optional[int]   # equivalence class, or predicate level
-    param: Optional[ElemRef]     # singleton block for this parameter
+def _facts(phi, memo: dict) -> tuple:
+    """``(phi, free variable names, binder depths, relation names)``,
+    once per formula: the depth of each binder of ``phi`` (the outermost
+    at 1), and the relations it names.  The entry keeps phi, so its id
+    stays."""
+    key = ("facts", id(phi))
+    facts = memo.get(key)
+    if facts is None:
+        depths: List[int] = []
+        names = set()
+        stack = [(phi, 0)]
+        while stack:
+            f, d = stack.pop()
+            kind = type(f)
+            if kind is Rel:
+                names.add(f.name)
+            elif kind is And or kind is Or or kind is Implies:
+                stack += ((f.left, d), (f.right, d))
+            elif kind is Not:
+                stack.append((f.body, d))
+            elif kind is Exists or kind is Forall:
+                depths.append(d + 1)
+                stack.append((f.body, d + 1))
+        facts = memo[key] = (phi, [n for n, _ in free_variables(phi)],
+                             depths, tuple(sorted(names)))
+    return facts
 
 
-def _equiv_blocks(summary: EquivSummary, params: Dict[str, ElemRef]):
-    refs = {}
+def _equiv_model(summary: EquivSummary, params: Dict[str, ElemRef], r: int,
+                 k: int):
+    """The small model of an equivalence family for ``k`` counted
+    variables as ``(sizes, (cells, spare, elements), fixed)``: the sizes
+    of the classes of M' in layout order; for each class holding a
+    parameter, ``(first element, actual size, elements used)``; for each
+    size t the other classes are cut to, ``(first elements of its
+    classes in M', {actual size: untouched classes}, untouched classes,
+    their elements)``, the dict only when k > 1, since only a variable
+    before the last reads it; the parameters' distinct elements in M',
+    and each parameter's element."""
+    offsets: Dict[int, List[int]] = {}
     for ref in params.values():
-        refs.setdefault((ref.class_index, ref.offset), ref)
-    blocks = []
-    by_class: Dict[int, int] = {}
-    for (ci, _off), ref in sorted(refs.items()):
-        blocks.append(_Block(1, ci, ref))
-        by_class[ci] = by_class.get(ci, 0) + 1
-    for ci in sorted(by_class):
-        rest = summary.class_sizes[ci] - by_class[ci]
-        if rest > 0:
-            blocks.append(_Block(rest, ci, None))
-    lumped = summary.total - sum(summary.class_sizes[ci] for ci in by_class)
-    if lumped > 0:
-        blocks.append(_Block(lumped, None, None))
-    return blocks
+        offs = offsets.setdefault(ref.class_index, [])
+        if ref.offset not in offs:
+            offs.append(ref.offset)
+    groups = summary.kept(r, k > 1)    # t -> (counts, classes, elements)
+    sizes: List[int] = []
+    cells = []
+    where: Dict[Tuple[int, int], int] = {}
+    start = 0
+    for ci in sorted(offsets):
+        offs = sorted(offsets[ci])
+        size = summary.class_size(ci)
+        t = size if size < r else r
+        counts, classes, elements = groups[t]
+        if k > 1:
+            counts = {**counts, size: counts[size] - 1}
+        groups[t] = (counts, classes - 1, elements - size)
+        for off in offs:
+            where[ci, off] = start
+            start += 1
+        cells.append((start - len(offs), size, len(offs)))
+        kept = min(size, len(offs) + r)
+        sizes.append(kept)
+        start += kept - len(offs)
+    spare = []
+    for t, (counts, classes, elements) in groups.items():
+        kept = classes if classes < r else r
+        if kept:
+            spare.append((range(start, start + kept * t, t), counts,
+                          classes, elements))
+            sizes += [t] * kept
+            start += kept * t
+    fixed = {v: where[ref.class_index, ref.offset]
+             for v, ref in params.items()}
+    return tuple(sizes), (tuple(cells), tuple(spare),
+                          tuple(where.values())), fixed
 
 
-def _pred_blocks(summary: NestedPredSummary):
-    # level i block: elements in P_i but not P_{i+1}; level 0 = outside P_1
-    sizes = (summary.total,) + summary.pred_sizes + (0,)
-    return [_Block(sizes[i] - sizes[i + 1], i, None)
-            for i in range(len(sizes) - 1) if sizes[i] - sizes[i + 1] > 0]
+def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
+                r: int, names: Sequence[str]):
+    """The small model of a nested-predicate family as ``(bands, (cells,
+    (), elements), fixed)``.  Levels that the predicates ``names``
+    (``P<k>``, k increasing) do not tell apart form one band: band j holds
+    the elements in the j-th named predicate (every element for j = 0)
+    but not the next.  ``bands`` lists each nonempty band, the deepest
+    first as ``generate`` lays out the levels, as ``(j, elements in
+    M')``; ``cells`` has ``(first element, actual size, elements used)``
+    for each; ``elements`` the parameters' distinct elements in M', and
+    ``fixed`` each parameter's."""
+    bounds = ([summary.total]
+              + [summary.pred_sizes[int(name[1:]) - 1] for name in names]
+              + [0])
+    ids: Dict[int, List[int]] = {}
+    for ref in params.values():
+        g = ref.global_id
+        same = ids.setdefault(sum(1 for b in bounds[1:] if g < b), [])
+        if g not in same:
+            same.append(g)
+    bands = []
+    cells = []
+    where: Dict[int, int] = {}
+    start = 0
+    for j in range(len(bounds) - 2, -1, -1):
+        size = bounds[j] - bounds[j + 1]
+        if size:
+            here = sorted(ids.get(j, ()))
+            for i, g in enumerate(here):
+                where[g] = start + i
+            cells.append((start, size, len(here)))
+            bands.append((j, min(size, len(here) + r)))
+            start += bands[-1][1]
+    fixed = {v: where[ref.global_id] for v, ref in params.items()}
+    return tuple(bands), (tuple(cells), (), tuple(where.values())), fixed
 
 
-def _quotient(summary, sig: Signature, blocks) -> FiniteStructure:
-    """The structure whose elements are the blocks: ``E`` holds between a
-    block and itself and between blocks of one class; ``P<k>`` holds on the
-    blocks of level at least ``k``."""
-    classes = [b.class_index for b in blocks]
-    if isinstance(summary, EquivSummary):
-        def related(t):
-            i, j = t
-            return i == j or (classes[i] is not None
-                              and classes[i] == classes[j])
-        virtual = {"E": related}
-    else:
-        virtual = {name: lambda t, k=int(name[1:]): classes[t[0]] >= k
-                   for name in sig.relations}
-    return FiniteStructure(signature=sig, sizes={"S": len(blocks)},
-                           relations={}, functions={}, constants={},
-                           virtual_relations=virtual)
+def _equiv_structure(sizes: Sequence[int]) -> FiniteStructure:
+    """Classes of the given sizes, laid out one after another."""
+    table = frozenset(chain.from_iterable(
+        product(range(start, start + s), repeat=2)
+        for start, s in zip(accumulate(sizes, initial=0), sizes)))
+    return FiniteStructure(signature=_EQUIV_SIGNATURE,
+                           sizes={"S": sum(sizes)}, relations={"E": table},
+                           functions={}, constants={})
+
+
+def _pred_structure(sig: Signature, total: int,
+                    pred_sizes: Dict[str, int]) -> FiniteStructure:
+    """Each predicate ``name`` holding on the first ``pred_sizes[name]``
+    of ``total`` elements."""
+    return FiniteStructure(
+        signature=sig, sizes={"S": total},
+        relations={name: frozenset((e,) for e in range(size))
+                   for name, size in pred_sizes.items()},
+        functions={}, constants={})
+
+
+def _small_structure(names: Tuple[str, ...], shape: tuple) -> FiniteStructure:
+    """M' of one shape: classes of the sizes ``shape`` when ``names`` is
+    ``("E",)``, else the bands ``shape`` of ``_pred_model`` over the
+    predicates ``names`` only (the reduct of the family's signature that
+    phi reads), the j-th holding on the bands from j + 1 on, which come
+    first."""
+    if names == ("E",):
+        return _equiv_structure(shape)
+    kept = [0] * (len(names) + 1)
+    for j, size in shape:
+        kept[j] = size
+    ends = list(accumulate(kept[:0:-1]))[::-1]
+    return _pred_structure(
+        make_signature(["S"], relations=[(name, ("S",)) for name in names]),
+        sum(kept), dict(zip(names, ends)))
+
+
+def _choices(cells, spare, elems):
+    """Each way the next counted variable continues a type, but the last:
+    ``(its element in M', weight, the next (cells, spare, elems))``."""
+    for e in elems:
+        yield e, 1, (cells, spare, elems)
+    for j, (start, size, used) in enumerate(cells):
+        if used < size:
+            e = start + used
+            yield e, size - used, (
+                cells[:j] + ((start, size, used + 1),) + cells[j + 1:],
+                spare, elems + (e,))
+    for j, (starts, counts, classes, elements) in enumerate(spare):
+        for s, c in counts.items():
+            if c:
+                e = starts[0]
+                group = (starts[1:], {**counts, s: c - 1}, classes - 1,
+                         elements - s)
+                yield e, s * c, (cells + ((e, s, 1),),
+                                 spare[:j] + (group,) + spare[j + 1:],
+                                 elems + (e,))
+
+
+def _last_choices(cells, spare, elems) -> List[Tuple[int, int]]:
+    """``(element in M', weight)`` for each choice of the last counted
+    variable; the untouched classes of one size in M' are one choice."""
+    out = [(e, 1) for e in elems]
+    out += [(start + used, size - used) for start, size, used in cells
+            if used < size]
+    out += [(starts[0], elements) for starts, _, _, elements in spare
+            if elements]
+    return out
+
+
+def _types(state, k: int):
+    """``(elements, weight, last)`` for each type of the first ``k - 1``
+    counted variables: their elements in M', the number of their tuples
+    of that type in M, and the last variable's choices."""
+    if k == 1:
+        yield (), 1, _last_choices(*state)
+        return
+    for e, weight, after in _choices(*state):
+        for reps, more, last in _types(after, k - 1):
+            yield (e,) + reps, weight * more, last
 
 
 def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
-                 counted: List[str], memo: Optional[dict] = None
-                 ) -> Union[Count, str]:
-    """The block-route count of ``phi`` over its ``counted`` variables (its
-    free variables outside ``params``), or the reason the route declines.
-    ``memo`` keeps, per formula and block shape, the truth on each block
-    or the reason; the count adds up the sizes of the true blocks."""
-    if len(counted) > 1:
-        return f"{len(counted)} counted variables"
-    if isinstance(summary, EquivSummary):
-        blocks = _equiv_blocks(summary, params)
-        # E reads only which blocks share a class: number the classes in
-        # order of first appearance (the lumped block's None stays None)
-        first: Dict[int, int] = {}
-        classes = tuple(None if b.class_index is None
-                        else first.setdefault(b.class_index, len(first))
-                        for b in blocks)
-    elif params:
-        return "parameters on a nested-predicate family"
-    else:
-        blocks = _pred_blocks(summary)
-        classes = tuple(b.class_index for b in blocks)  # P<k> reads levels
-    # each parameter sits on the index of its singleton block
-    slot = {(b.param.class_index, b.param.offset): i
-            for i, b in enumerate(blocks) if b.param is not None}
-    fixed = {v: slot[ref.class_index, ref.offset] for v, ref in params.items()}
-    # the entry keeps phi, so its id is not reused while the memo lives
-    key = ("blocks", id(phi), classes, tuple(fixed.items()), tuple(counted))
+                 counted: List[str], memo: Optional[dict] = None,
+                 budget: Optional[int] = None) -> Count:
+    """The exact count of ``phi`` over its ``counted`` variables (its free
+    variables outside ``params``) on the family, by types on the small
+    model M'; parameters not free in ``phi`` are dropped first.  The count
+    charges its type leaves times one plus the quantifier-loop visits per
+    evaluation against ``budget`` (default ``PFDIM_BUDGET``, read once per
+    ``memo``) before it evaluates, and raises ``FamilyError`` "budget
+    exceeded" when that is over.  ``memo`` keeps, per formula and shape of
+    M', the compiled formula and its truth at each type."""
     memo = {} if memo is None else memo
-    if key not in memo:
-        memo[key] = (phi, _block_truths(summary, sig, phi, blocks, fixed,
-                                        counted))
-    truths = memo[key][1]
-    if isinstance(truths, str):
-        return truths
+    _, free, depths, names = _facts(phi, memo)
+    k = len(counted)
+    r = k + max(depths, default=0)
+    params = {v: ref for v, ref in params.items() if v in free}
+    if isinstance(summary, EquivSummary):
+        names = ("E",)
+        shape, state, fixed = _equiv_model(summary, params, r, k)
+        elements = sum(shape)
+    else:
+        names = tuple(sorted(names, key=lambda name: int(name[1:])))
+        shape, state, fixed = _pred_model(summary, params, r, names)
+        elements = sum(kept for _, kept in shape)
+    steps = 1 + sum([elements ** d for d in depths]) if depths else 1
+    limit = budget
+    if limit is None:    # PFDIM_BUDGET, read once per request
+        limit = memo.get("budget")
+        if limit is None:
+            limit = memo["budget"] = get_budget()
+    if k > 1:
+        leaves = 0
+        for _, _, last in _types(state, k):
+            leaves += len(last)
+            if leaves * steps > limit:
+                break
+        types = _types(state, k)       # walked again below, evaluating
+    else:
+        types = [((), 1, _last_choices(*state))] if k else []
+        leaves = len(types[0][2]) if k else 1
+    if leaves * steps > limit:
+        raise FamilyError(
+            f"count could take at least {leaves * steps} steps, type "
+            f"leaves times quantifier visits (budget exceeded)")
+    # the entry keeps phi, so its id is not reused while the memo lives
+    key = ("model", id(phi), shape, tuple(fixed.items()), tuple(counted))
+    entry = memo.get(key)
+    if entry is None:
+        # the counted variables are slots too, set to each leaf in turn
+        test, env, _ = compile_formula(
+            phi, _small_structure(names, shape),
+            {**fixed, **dict.fromkeys(counted, 0)})
+        entry = memo[key] = (phi, test, env, {})
+    _, test, env, truths = entry
     if not counted:
-        return Count(1 if truths[0] else 0)
-    return Count(sum(b.size for b, true in zip(blocks, truths) if true))
-
-
-def _block_truths(summary, sig: Signature, phi, blocks, fixed: Dict[str, int],
-                  counted: List[str]) -> Union[List[bool], str]:
-    """The truth of ``phi`` with its counted variable on each block in turn
-    (one truth when nothing is counted), or why the blocks cannot tell."""
-    # the counted variable is one more fixed slot, set to each block in turn
-    x = len(fixed)
-    test, env, visits = compile_formula(
-        phi, _quotient(summary, sig, blocks),
-        {**fixed, **dict.fromkeys(counted, 0)})
-    if visits:
-        return "a quantifier"  # blocks are not closed under quantification
-    if not counted:
-        return [bool(test(env))]
-    truths = []
-    for i in range(len(blocks)):
-        env[x] = i
-        truths.append(bool(test(env)))
-    return truths
+        return Count(test(env))
+    first = len(fixed)
+    total = 0
+    for reps, weight, last in types:
+        for e, w in last:
+            leaf = reps + (e,)
+            truth = truths.get(leaf)
+            if truth is None:
+                env[first:first + k] = leaf
+                truth = truths[leaf] = test(env)
+            if truth:
+                total += weight * w
+    return Count(total)
 
 
 class FamilyAt:
-    """One family at one index: its block summary and signature, built
-    once, the one place a step's formula text becomes a formula, and the
-    one route chooser for every count at that index.
+    """One family at one index: its summary and signature, built once,
+    the one place a step's formula text becomes a formula, and the one
+    place every count at that index is made.
 
     ``memo`` holds the formula-level work of one request: parsed steps,
-    free variables and block truths.  It is private to this index unless
-    ``family_sequence`` hands every index of its request the same one."""
+    free variables, binder depths, ``PFDIM_BUDGET``, and per shape of the
+    small model the compiled formula and its truths.  It is private to
+    this index unless ``family_sequence`` hands every index of its request
+    the same one."""
 
     def __init__(self, family: FamilyHandle, index: int):
         self.family = family
         self.index = index
         self.summary = family_summary(family, index)
         self.signature = family_signature(family, index)
-        self._structure: Optional[FiniteStructure] = None
         self.memo: dict = {}
 
     def selector(self, name: str) -> Dict[str, ElemRef]:
@@ -435,17 +677,10 @@ class FamilyAt:
             self.memo[("steps", steps)] = (self.signature, phis)
         return out
 
-    def _free(self, phi) -> List[str]:
-        """The names of the free variables of ``phi``, once per formula."""
-        key = ("free", id(phi))   # the entry keeps phi, so its id stays
-        if key not in self.memo:
-            self.memo[key] = (phi, [n for n, _ in free_variables(phi)])
-        return self.memo[key][1]
-
     def counted(self, phi, params: Dict[str, ElemRef]) -> List[str]:
         """The free variables of ``phi`` that ``params`` leaves to be
         counted."""
-        return [n for n in self._free(phi) if n not in params]
+        return [n for n in _facts(phi, self.memo)[1] if n not in params]
 
     def check_one_counted(self, phi, params: Dict[str, ElemRef]) -> None:
         """Refuse ``phi`` as a set of single elements when more than one of
@@ -457,26 +692,10 @@ class FamilyAt:
 
     def count(self, phi, params: Dict[str, ElemRef],
               budget: Optional[int] = None) -> Count:
-        """Exact |phi(M_index, params)| by the block route, else by
-        enumerating the structure (built once) under ``budget``, without
-        the parameters not free in ``phi``.  When neither route can count
-        (too large to build, or over the budget), the ``FamilyError``
-        names both causes."""
-        free = self._free(phi)
-        counted = self.counted(phi, params)
-        result = _block_count(self.summary, self.signature, phi, params,
-                              counted, self.memo)
-        if isinstance(result, Count):
-            return result
-        fixed = {k: v.global_id for k, v in params.items() if k in free}
-        try:
-            if self._structure is None:
-                self._structure = generate(self.family.family_id, self.index)
-            return engine_count(phi, self._structure, fixed, counted,
-                                budget=budget)
-        except (FamilyError, BudgetExceeded) as exc:
-            raise FamilyError(
-                f"{exc}, and the block route declines {result}") from None
+        """Exact |phi(M_index, params)| on the small model
+        (``_block_count``) under ``budget``."""
+        return _block_count(self.summary, self.signature, phi, params,
+                            self.counted(phi, params), self.memo, budget)
 
     def spectrum(self, phi_text: str) -> List[float]:
         """Sorted distinct log-counts of {phi(x, b) : b in universe}.
@@ -495,11 +714,8 @@ class FamilyAt:
                 "spectrum supported for equivalence families only")
         self.check_one_counted(phi, {"y": None})
         classes = [0]  # without y, every parameter gives the same count
-        if "y" in self._free(phi):
-            first: Dict[int, int] = {}   # class size -> its first class
-            for ci, size in enumerate(self.summary.class_sizes):
-                first.setdefault(size, ci)
-            classes = list(first.values())
+        if "y" in _facts(phi, self.memo)[1]:
+            classes = list(self.summary.first_classes().values())
         element = self.summary.element
         return sorted({self.count(phi, {"y": element(ci)}).log_value
                        for ci in classes})

@@ -1,20 +1,22 @@
-"""Differential tests: the block route (``_block_count``) against the
-enumeration engine (``counting.count``) on the materialized structure.
+"""Differential tests: the family route (``_block_count``, counting by
+types on a small model) against the enumeration engine (``counting.count``)
+on the materialized structure.
 
-Formulas are random quantifier-free combinations of the atoms each family
-supports, sometimes under one top-level binder; ``y`` and ``z`` are either
-counted or bound to a selector's element or to an arbitrary element.  The
-block route must return the engine's count, and must decline (return
-its reason) exactly when the formula has two counted variables or a binder,
-or when a ``convsupersimple`` count is given parameters.  The route
-chooser ``FamilyAt.count`` must return the engine's count either way, and
-the family counts built on it (``chain_detect``, ``fmv_spectrum``,
-``mu_D_sequence``) must too.  A spectrum, which counts one class per
-distinct class size, must equal the counts over every class.  Counting
-through one request's shared memo must equal counting each index anew.
+Formulas are random first-order formulas over the atoms each family
+supports, with up to two nested binders; ``x``, ``y`` and ``z`` are
+counted, or bound to a selector's element or an arbitrary element, two of
+them possibly in one class, and a parameter need not be free in the
+formula.  The route must return the engine's count at every index small
+enough to enumerate, and ``FamilyAt.count`` and the family counts built on
+it (``chain_detect``, ``fmv_spectrum``, ``mu_D_sequence``) must too.  A
+spectrum, which counts one class per distinct class size, must equal the
+counts over every class.  Counting through one request's shared memo must
+equal counting each index anew.
 """
 
 import functools
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,18 +24,19 @@ from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
 from pfdim import families
-from pfdim.counting import BudgetExceeded, Count, count
+from pfdim.counting import BudgetExceeded, count
 from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
 from pfdim.families import (ElemRef, FamilyAt, FamilyError, _block_count,
-                            count_family, family_sequence, family_signature,
-                            family_summary, generate, get_family,
-                            list_families)
+                            _facts, count_family, family_sequence,
+                            family_signature, family_summary, generate,
+                            get_family, list_families)
 from pfdim.logic import free_variables
 from pfdim.measure import MeasureError, mu_D_sequence
 from pfdim.parser import parse_formula
 
 FAMILY_IDS = sorted(list_families())
 EQUIV_ATOMS = ("E(x, y)", "E(y, x)", "x = y", "E(x, x)", "E(y, z)", "y = z")
+QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # x's class has 2+ elements
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,7 +87,7 @@ def cases(draw):
         if how == "selector" and selectors:
             params[v] = draw(st.sampled_from(selectors))
         elif how != "counted" and fid == "convsupersimple":
-            # no selectors and no classes here; the route must decline
+            # no selectors and no classes here: any element of the universe
             g = draw(st.integers(0, summary.total - 1))
             params[v] = ElemRef(0, g, g)
         elif how != "counted":
@@ -94,26 +97,31 @@ def cases(draw):
     return fid, index, text, binder is not None, params
 
 
+# steps one enumeration may take here (assignments times quantifier visits)
+ENUMERATION_WORK = 200_000
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_block_route_matches_engine(case):
+    # what the block quotient once declined (2 or 3 counted variables, a
+    # binder, parameters on convsupersimple) is counted like the rest
     fid, index, text, has_binder, params = case
     family = get_family(fid)
     phi = parse_formula(text, family_signature(family, index))
     free = [n for n, _ in free_variables(phi)]
     fixed = {k: v.global_id for k, v in params.items() if k in free}
     counted = [n for n in free if n not in fixed]
-    declines = (len(counted) > 1 or has_binder
-                or (fid == "convsupersimple" and bool(params)))
     at = FamilyAt(family, index)
     agg = _block_count(at.summary, at.signature, phi, params, counted)
-    event("declined" if declines else f"{len(counted)} counted")
-    if declines:
-        assert isinstance(agg, str)
+    try:
+        expected = count(phi, materialized(fid, index), fixed, counted,
+                         budget=10 * ENUMERATION_WORK)
+    except BudgetExceeded:
+        event("too large to enumerate")
         return
-    assert not isinstance(agg, str)
-    expected = count(phi, materialized(fid, index), fixed, counted)
+    event(f"{len(counted)} counted" + (", a binder" if has_binder else ""))
     assert agg.value == expected.value
 
 
@@ -135,10 +143,128 @@ def test_lumped_block_at_index_64(fid, selector, text, plus):
 
 
 # ---------------------------------------------------------------------------
-# The route chooser
+# Every first-order formula: up to two nested binders, up to two counted
+# variables, parameters anywhere, at every index small enough to enumerate
 
-# steps one enumeration may take here (assignments times quantifier visits)
-ENUMERATION_WORK = 200_000
+# an index is drawn where the engine's steps (counted assignments times
+# one plus the binder visits of one binder path per assignment) are at most
+CASE_WORK = 2_000_000
+
+
+@functools.lru_cache(maxsize=None)
+def universe(fid, index):
+    """The number of elements ``generate`` builds at ``index``, or None
+    where it refuses (findelta and stablenonattainability from 5 on,
+    convsupersimple from 7)."""
+    try:
+        return materialized(fid, index).sizes["S"]
+    except FamilyError:
+        return None
+
+
+@st.composite
+def first_order(draw, atom, names, binders, depth=3):
+    """A formula over the variables ``names`` with at most ``binders``
+    nested binders; ``atom(names)`` draws an atom."""
+    kinds = ["atom"] + (["!", "&", "|", "->"] if depth else [])
+    kinds += ["exists", "forall"] * 2 if binders else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        return draw(atom(names))
+    if kind == "!":
+        return f"!({draw(first_order(atom, names, binders, depth - 1))})"
+    if kind in ("exists", "forall"):
+        var = "u" if "u" not in names else "v"
+        body = draw(first_order(atom, names + (var,), binders - 1, depth))
+        return f"{kind} {var}:S. ({body})"
+    left = draw(first_order(atom, names, binders, depth - 1))
+    right = draw(first_order(atom, names, binders, depth - 1))
+    return f"({left}) {kind} ({right})"
+
+
+def atoms_of(fid, index):
+    def atom(names):
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+        eq = pair.map(lambda t: f"{t[0]} = {t[1]}")
+        if fid == "convsupersimple":
+            return st.one_of(eq, st.tuples(
+                st.integers(1, index), st.sampled_from(names)).map(
+                    lambda t: f"P{t[0]}({t[1]})"))
+        return st.one_of(eq, pair.map(lambda t: f"E({t[0]}, {t[1]})"))
+    return atom
+
+
+@st.composite
+def elements(draw, fid, at, placed):
+    """An element of the family at ``at.index``: a selector's, any one,
+    or one in the class of an element already ``placed``."""
+    summary = at.summary
+    if fid == "convsupersimple":
+        g = draw(st.integers(0, summary.total - 1))
+        return ElemRef(0, g, g)
+    how = draw(st.sampled_from(("selector", "any", "same class")))
+    selectors = working_selectors(at.family, at.index)
+    if how == "selector" and selectors:
+        return draw(st.sampled_from(selectors))
+    if how == "same class" and placed:
+        ci = draw(st.sampled_from(placed)).class_index
+    else:
+        ci = draw(st.integers(0, len(summary.class_sizes) - 1))
+    return summary.element(
+        ci, draw(st.integers(0, summary.class_size(ci) - 1)))
+
+
+@st.composite
+def first_order_cases(draw):
+    fid = draw(st.sampled_from(FAMILY_IDS))
+    roles = draw(st.lists(st.sampled_from(("counted", "parameter")),
+                          min_size=3, max_size=3))
+    if "parameter" not in roles:
+        roles[2] = "parameter"      # at most two counted variables
+    binders = draw(st.integers(0, 2))
+    counted = roles.count("counted")
+
+    def work(n):
+        return n ** counted * (1 + n * (binders > 0) + n * n * (binders > 1))
+    indices = [i for i in range(1, 9)
+               if universe(fid, i) and work(universe(fid, i)) <= CASE_WORK]
+    index = draw(st.sampled_from(indices))
+    text = draw(first_order(atoms_of(fid, index), ("x", "y", "z"), binders))
+    at = FamilyAt(get_family(fid), index)
+    params = {}
+    for v, role in zip("xyz", roles):
+        if role == "parameter":
+            params[v] = draw(elements(fid, at, list(params.values())))
+    return fid, index, text, params
+
+
+# D = QUANTIFIED with X's selector still among the parameters, as in
+# mu_D_sequence: y is not free in D, and must not hold back an element of
+# its class (|D| = 4 at earlyexample n = 2, so mu = 1, not 4/3)
+@example(("earlyexample", 2, QUANTIFIED, {"y": ElemRef(1, 0, 1)}))
+@example(("earlyexample", 2, QUANTIFIED, {"y": ElemRef(1, 2, 3)}))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(first_order_cases())
+def test_small_model_matches_engine(case):
+    fid, index, text, params = case
+    at = FamilyAt(get_family(fid), index)
+    phi = parse_formula(text, at.signature)
+    free = [n for n, _ in free_variables(phi)]
+    fixed = {k: v.global_id for k, v in params.items() if k in free}
+    counted = [n for n in free if n not in fixed]
+    rank = max(_facts(phi, {})[2], default=0)
+    event(f"{len(counted)} counted, quantifier rank {rank}")
+    # sibling binders add their visits; no case is refused
+    expected = count(phi, materialized(fid, index), fixed, counted,
+                     budget=10 ** 12)
+    got = _block_count(at.summary, at.signature, phi, params, counted)
+    assert got == expected
+    assert at.count(phi, params) == expected
+
+
+# ---------------------------------------------------------------------------
+# FamilyAt.count, the one place a family count is made
 
 
 @settings(max_examples=200, deadline=None,
@@ -155,18 +281,21 @@ def test_family_at_matches_engine(case):
     try:
         expected = count(phi, M, fixed, counted, budget=ENUMERATION_WORK)
     except BudgetExceeded:
-        # only a declined count enumerates, under the same budget
-        with pytest.raises(FamilyError, match="budget exceeded"):
-            at.count(phi, params, budget=ENUMERATION_WORK)
-        event("too large to enumerate")
+        # the route charges type leaves, not assignments: it counts within
+        # the budget the engine exceeds, and the engine agrees given ten
+        # times more, where that is enough
+        got = at.count(phi, params, budget=ENUMERATION_WORK)
+        try:
+            expected = count(phi, M, fixed, counted,
+                             budget=10 * ENUMERATION_WORK)
+        except BudgetExceeded:
+            event("too large to enumerate")
+            return
+        event("enumerated under a larger budget")
+        assert got == expected
         return
-    event("block route" if isinstance(
-        _block_count(at.summary, at.signature, phi, params, counted), Count)
-        else "enumerated")
+    event(f"{len(counted)} counted" + (", a binder" if has_binder else ""))
     assert at.count(phi, params, budget=ENUMERATION_WORK) == expected
-
-
-QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # x's class has 2+ elements
 
 
 def engine_count(fid, text, index, y=None):
@@ -239,11 +368,15 @@ def test_spectrum_matches_every_class(fid, text, index):
 
 @pytest.mark.parametrize("fid", ["findelta", "stablenonattainability"])
 def test_fallback_spectrum_matches_every_class(fid):
+    # a quantified spectrum, once counted by materializing, now on the
+    # small model: it equals the engine's count at every element
     text = "exists z:S. E(x, z) & E(z, y) & !(z = y)"
     at = FamilyAt(get_family(fid), 3)
     spectrum = at.spectrum(text)
-    assert at._structure is not None   # the block route declined
     assert spectrum == every_class(at, text)
+    assert spectrum == sorted({
+        engine_count(fid, text, 3, b).log_value
+        for b in range(materialized(fid, 3).sizes["S"])})
 
 
 def test_findelta_spectrum_counts_once_per_class_size(monkeypatch):
@@ -262,14 +395,15 @@ def test_findelta_spectrum_counts_once_per_class_size(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # One memo per request: counting along a family_sequence, with its parses
-# and block truths shared across indices, equals counting each index anew
+# and truths per shape of the small model shared across indices, equals
+# counting each index anew
 
 Y_ATOMS = ("E(x, y)", "E(y, x)", "x = y", "E(x, x)", "E(y, y)")
 
 
 def step_counts(steps):
     """Each prefix conjunction's count at one index, then the spectrum of
-    the first step; an absent selector or a declined count is its error."""
+    the first step; an absent selector is its error."""
     def at_index(at):
         try:
             counts = [at.count(phi, params)
@@ -285,7 +419,7 @@ def requests(draw):
     fid = draw(st.sampled_from(EQUIV_IDS))
     selectors = list_families()[fid]["selectors"]
     # y is a selector's element in each step that names y, so x is the
-    # one counted variable and the block route answers every count
+    # one counted variable
     steps = draw(st.lists(st.one_of(
         st.tuples(formulas(("E(x, x)", "x = x")), st.none()),
         st.tuples(formulas(Y_ATOMS), st.sampled_from(selectors))),
@@ -298,7 +432,8 @@ def requests(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(requests())
 # at index 4 both selectors pick class 4, so the two parameters share one
-# block there and not at 5 or 6: the block shape differs across indices
+# class there and not at 5 or 6: the shape of the small model differs
+# across indices
 @example(("earlyexample", [("E(x, y)", "class-4"),
                            ("!(x = y)", "largest-class")], [4, 5, 6]))
 def test_shared_memo_matches_fresh_counts(case):
@@ -331,6 +466,16 @@ def test_one_memo_matches_fresh_counts_for_any_parameters(fid, index, text,
             phi, params)
 
 
+# at n = 8, the counts the block quotient declined for each reason, too
+# large to materialize (19,173,960 elements; 8^8 on convsupersimple)
+CLOSED_FORM_AT_8 = {
+    "2 counted variables": sum(8 ** (2 * i) for i in range(1, 9)),
+    "a quantifier": sum(8 ** i for i in range(1, 9)),
+    # y = 0 is in every P_i, so x ranges over P1 but y
+    "parameters on a nested-predicate family": 8 ** 7 - 1,
+}
+
+
 @pytest.mark.parametrize("fid,text,params,reason", [
     ("stablenonattainability", "E(x, y)", {}, "2 counted variables"),
     ("stablenonattainability", "E(x, x) | exists z:S. E(z, x)", {},
@@ -339,21 +484,29 @@ def test_one_memo_matches_fresh_counts_for_any_parameters(fid, index, text,
      "parameters on a nested-predicate family"),
 ])
 def test_decline_reason_in_error(fid, text, params, reason):
+    # the old decline reasons are gone: each such count is exact
     at = FamilyAt(get_family(fid), 8)
-    with pytest.raises(FamilyError) as info:
-        at.count(parse_formula(text, at.signature), params)
-    assert "size budget exceeded" in str(info.value)
-    assert f"the block route declines {reason}" in str(info.value)
+    got = at.count(parse_formula(text, at.signature), params)
+    assert got.value == CLOSED_FORM_AT_8[reason]
 
 
 def test_consumers_keep_their_errors_when_neither_route_counts():
+    # every consumer counts a quantified formula at n = 8, where each class
+    # has 8 or more elements; the errors that remain keep their types
     family = get_family("stablenonattainability")
-    with pytest.raises(DimensionError, match="a quantifier"):
-        chain_detect(family, [(QUANTIFIED, None)], [8])
-    with pytest.raises(MeasureError, match="size budget exceeded"):
-        mu_D_sequence(family, QUANTIFIED, "E(x, x)", [8])
-    with pytest.raises(FamilyError, match="a quantifier"):
-        FamilyAt(family, 8).spectrum("exists z:S. E(x, z) & E(z, y)")
+    every = sum(8 ** i for i in range(1, 9))
+    report = chain_detect(family, [(QUANTIFIED, None)], [8])
+    assert report.log_counts == ((math.log(every),),)
+    assert mu_D_sequence(family, QUANTIFIED, "E(x, x)", [8]) == [1]
+    assert FamilyAt(family, 8).spectrum(
+        "exists z:S. E(x, z) & E(z, y)") == pytest.approx(
+            [math.log(8 ** i) for i in range(1, 9)])
+    with pytest.raises(DimensionError, match="2 counted variables"):
+        chain_detect(family, [(f"{QUANTIFIED} & E(x, y)", None)], [8])
+    with pytest.raises(MeasureError, match="D counts"):
+        mu_D_sequence(family, "E(x, y)", QUANTIFIED, [8])
+    with pytest.raises(FamilyError, match="2 counted variables"):
+        FamilyAt(family, 8).spectrum("exists z:S. E(x, z) & E(z, w)")
 
 
 def test_consumers_refuse_a_second_counted_variable():
@@ -376,18 +529,25 @@ def test_consumers_refuse_a_second_counted_variable():
 
 
 def test_large_materializable_index_fails_fast():
-    # 46,656 elements: a binder over them at every assignment is about
-    # 2.2e9 steps, over the default budget, so nothing is enumerated
+    # 46,656 elements: enumerating a binder over them at every assignment
+    # is about 2.2e9 steps; the small model has 4 elements (P1 and the
+    # rest, each cut to 2), so 2 type leaves of 5 steps each
     family = get_family("convsupersimple")
     step = "exists z:S. P1(z) & !(z = x)"
-    with pytest.raises(DimensionError, match="budget exceeded.*a quantifier"):
-        chain_detect(family, [(step, None)], [6])
-    with pytest.raises(FamilyError, match="budget exceeded.*a quantifier"):
-        count_family(step, family, [6])
+    start = time.monotonic()
+    report = chain_detect(family, [(step, None)], [6, 64])
+    assert time.monotonic() - start < 2
+    # every x has another element of P1 beside it
+    assert report.log_counts == ((math.log(6 ** 6), math.log(64 ** 64)),)
+    assert count_family(step, family, [6], budget=10).points[0][1].value \
+        == 6 ** 6
+    with pytest.raises(FamilyError, match="10 steps.*budget exceeded"):
+        count_family(step, family, [6], budget=9)
 
 
 def test_consumers_turn_an_exceeded_budget_into_their_errors(monkeypatch):
-    monkeypatch.setenv("PFDIM_BUDGET", "10")
+    # a quantified count takes at least 2 steps per type leaf
+    monkeypatch.setenv("PFDIM_BUDGET", "1")
     family = get_family("earlyexample")
     with pytest.raises(DimensionError, match="budget exceeded"):
         chain_detect(family, [(QUANTIFIED, None)], [2])

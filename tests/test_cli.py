@@ -262,8 +262,8 @@ class TestFixedValidation:
         assert "counted more than once: ['x']" in err
 
     def test_selector_parameter_absent_from_formula(self, capsys):
-        # the block route declines the quantifier; the selector's y is not
-        # free in the formula, so the fallback counts x alone
+        # the selector's y is not free in the formula, so it is dropped
+        # and x alone is counted
         from pfdim.counting import count
         from pfdim.families import generate, get_family, family_signature
         from pfdim.parser import parse_formula

@@ -94,9 +94,16 @@ class TestChainDetect:
         assert all(v == "greater" for v in report.verdicts)
 
     def test_quantifier_outside_fragment(self):
+        # a sentence is counted like any formula: 1 where it holds, so
+        # log-count 0 at every index; a second counted variable is refused
         fam = get_family("convsupersimple")
-        with pytest.raises(DimensionError):
-            chain_detect(fam, [("exists z:S. P1(z)", None)], [8, 16, 32, 64])
+        report = chain_detect(fam, [("exists z:S. P1(z)", None),
+                                    ("exists z:S. P1(z) & !P2(z)", None)],
+                              [8, 16, 32, 64])
+        assert report.log_counts == ((0.0,) * 4, (0.0,) * 4)
+        with pytest.raises(DimensionError, match="2 counted variables"):
+            chain_detect(fam, [("exists z:S. P1(z) & x = y", None)],
+                         [8, 16, 32, 64])
 
 
 class TestSpectrum:

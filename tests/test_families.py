@@ -1,4 +1,5 @@
-"""Structure families: generation, block summaries, aggregate counting."""
+"""Structure families: generation, summaries, counting on the small
+model."""
 
 import itertools
 import math
@@ -7,7 +8,7 @@ import pytest
 
 from pfdim.counting import count
 from pfdim.families import (FamilyAt, FamilyError, _block_count,
-                            _findelta_sizes, count_family, family_signature,
+                            count_family, family_signature,
                             family_summary, generate, get_family,
                             list_families, make_homocyclic,
                             make_vector_space)
@@ -95,7 +96,9 @@ class TestSummaryLayout:
 
     @pytest.mark.parametrize("n", [*range(1, 13), 64])
     def test_findelta_sizes(self, n):
-        assert _findelta_sizes(n) == tuple(
+        s = family_summary(get_family("findelta"), n)
+        assert s.runs == tuple((n ** i, n) for i in range(1, n + 1))
+        assert s.class_sizes == tuple(
             n ** i for i in range(1, n + 1) for _ in range(n))
 
 
@@ -150,7 +153,7 @@ class TestAggregateCounting:
 
     def test_aggregate_reaches_unmaterializable_index(self):
         fam = get_family("stablenonattainability")
-        # index 64 has 64^1 + ... + 64^64 elements; blocks still count exactly
+        # index 64 has 64^1 + ... + 64^64 elements, still counted exactly
         seq = count_family("E(x, y)", fam, [64], selector="class-rank-1")
         assert seq.points[0][1].value == 64 ** 63
 

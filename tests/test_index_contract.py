@@ -6,7 +6,7 @@ the sorted distinct indices whatever order and repeats they are given,
 build one ``FamilyAt`` per index, and an error names the index it came
 from and keeps its type.  The ``FamilyAt``s of one call share one memo, so
 a steps list is parsed once while the signature is the same object, and a
-formula is compiled once per block shape.
+formula is compiled once per shape of the small model.
 """
 
 import json
@@ -22,13 +22,13 @@ from pfdim.families import (FamilyAt, FamilyError, count_family,
 from pfdim.measure import MeasureError, mu_D_sequence
 from pfdim.parser import ParseDiagnostic
 
-QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # the block route declines
+QUANTIFIED = "(exists z:S. E(x, z) & !(z = x))"   # quantifier rank 1
 INDICES = [2, 3, 4, 8]
 
 
 def consumers(family):
     """Each consumer as a function of its index list, with one quantified
-    formula among its inputs, so both counting routes are covered."""
+    formula among its inputs."""
     return {
         "count_family": lambda ix: count_family(QUANTIFIED, family, ix),
         "count_family selector": lambda ix: count_family(
@@ -77,11 +77,14 @@ def test_errors_name_their_index_and_keep_their_type():
     with pytest.raises(FamilyError, match=r"^index 4: class 5 absent"):
         count_family("E(x, y)", family, [6, 5, 4], selector="class-5")
     stable = get_family("stablenonattainability")
-    with pytest.raises(FamilyError, match=r"^index 8: .*a quantifier"):
+    with pytest.raises(FamilyError, match=r"^index 8: 2 counted variables"):
         family_sequence(stable, [8], lambda at: at.spectrum(
-            "exists z:S. E(x, z) & E(z, y)"))
-    with pytest.raises(FamilyError, match=r"^index 8: .*a quantifier"):
-        fmv_spectrum(stable, "exists z:S. E(x, z) & E(z, y)", [8])
+            "exists z:S. E(x, z) & E(z, w)"))
+    with pytest.raises(FamilyError, match=r"^index 8: 2 counted variables"):
+        fmv_spectrum(stable, "exists z:S. E(x, z) & E(z, w)", [8])
+    with pytest.raises(FamilyError, match=r"^index 4: .*budget exceeded"):
+        count_family("exists z:S. E(x, z) & E(z, y)", stable, [8, 4],
+                     budget=1)
 
 
 def test_selector_parameters_cannot_collide_with_formula_variables():
@@ -95,7 +98,8 @@ def test_selector_parameters_cannot_collide_with_formula_variables():
 
 # ---------------------------------------------------------------------------
 # One request, one memo: a steps list is parsed once while the signature is
-# the same object, and a formula is compiled once per block shape
+# the same object, and a formula is compiled once per shape of the small
+# model
 
 
 @pytest.fixture
@@ -118,8 +122,8 @@ def test_a_chain_parses_each_step_once(calls):
 
 
 def test_a_spectrum_compiles_once(calls):
-    # one block shape at every index: y's block, the rest of its class and
-    # the lumped other classes
+    # one shape at every index: y, one more element of its class, and
+    # one element for all the other classes
     fmv_spectrum(get_family("findelta"), "E(x, y) & !(x = y)",
                  [8, 16, 32, 64])
     assert calls == {"parse_formula": 1, "compile_formula": 1}

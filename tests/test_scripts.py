@@ -39,3 +39,13 @@ def test_word_maps_groups_repeatable(capsys):
                                                         ("C6", 6)]
     assert rows[1]["imageSize"] == 1
 
+
+
+def test_quantified_class_ranks_classify_like_quantifier_free(capsys):
+    module = load(next(p for p in SCRIPTS if p.stem == "run_growth_examples"))
+    assert module.main([]) == 0
+    out = json.loads(capsys.readouterr().out)
+    plain = [c["classification"] for c in out["classRankComparisons"]]
+    assert plain == [c["classification"]
+                     for c in out["quantifiedClassRankComparisons"]]
+    assert plain == ["greater", "greater"]
