@@ -9,6 +9,14 @@ once, enumerates the assignments of the other counted variables serially
 and adds up the masks' bit counts; ``evaluate`` and
 ``families.FamilyAt.count`` (on its small model, with every variable in a
 slot) count nothing, so their masks are one bit, the truth value.
+
+When something is counted, each binder is guarded: the conjuncts of its
+body (of the antecedent, for ``forall z. A -> B``) that read z only as a
+bare variable, not the last counted variable, and only variables that have
+a value, are compiled once as a mask over z, and the loop visits only the
+set bits of that mask.  So ``exists z. E(x, z) & E(z, y)`` is the union of
+the index rows ``E(z, .)`` over z in ``E(x, .)``, the semijoin of
+Yannakakis's acyclic joins done a set at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -85,12 +94,15 @@ class CardinalitySequence:
 # over a flat slot list.  Every binder gets a fresh slot, so a quantifier
 # loop writes its own slot and never saves or restores a shadowed value.
 #
-# Each closure returns a bitmask over the values of the last counted
-# variable v: bit b is set when the subformula holds with v = b.  An atom
-# that reads v looks its mask up in an index of the relation's table, built
-# on first use; the connectives are bitwise operations, and a quantifier
-# ORs (ANDs) its body's masks over the bound values.  With nothing counted
-# the mask has one bit, the truth value.
+# Each closure returns a bitmask over the values of one slot, the mask slot
+# s: bit b is set when the subformula holds with s = b.  An atom that reads
+# s looks its mask up in an index of the relation's table, built on first
+# use; the connectives are bitwise operations, and a quantifier ORs (ANDs)
+# its body's masks over the bound values.  The mask slot is the last
+# counted variable v, or, for a binder's guard, the bound variable; with
+# nothing counted there is none, and the mask has one bit, the truth value.
+
+_INNER = object()   # the slot of a binder inside the formula being read
 
 
 def _unassigned(name: str):
@@ -99,13 +111,46 @@ def _unassigned(name: str):
     return value
 
 
-def _slots_read(t, scope) -> set:
-    """The slots term ``t`` reads (``None`` for a name without a slot)."""
-    if isinstance(t, Var):
-        return {scope.get(t.name)}
-    if isinstance(t, App):
-        return set().union(*[_slots_read(a, scope) for a in t.args])
+def _reads(f, scope, bare=True) -> set:
+    """``(slot, bare)`` for the variable occurrences in formula or term
+    ``f``: the slot ``scope`` gives the name (``None`` for a name without a
+    slot, ``_INNER`` for a variable bound inside ``f``), and whether the
+    variable stands bare rather than under a function."""
+    if isinstance(f, Var):
+        return {(scope.get(f.name), bare)}
+    if isinstance(f, (App, Rel)):
+        bare = bare and isinstance(f, Rel)
+        return set().union(*[_reads(a, scope, bare) for a in f.args])
+    if isinstance(f, (Eq, And, Or, Implies)):
+        return _reads(f.left, scope, bare) | _reads(f.right, scope, bare)
+    if isinstance(f, Not):
+        return _reads(f.body, scope)
+    if isinstance(f, (Exists, Forall)):
+        return _reads(f.body, {**scope, f.var: _INNER})
     return set()
+
+
+def _conjuncts(f) -> list:
+    return _conjuncts(f.left) + _conjuncts(f.right) if isinstance(f, And) else [f]
+
+
+def _guarded(conjuncts, scope, z, s):
+    """Split ``conjuncts`` into the guard of the binder at slot ``z`` and
+    the rest, each in order.  The guard takes a conjunct that reads ``z``
+    only bare, not the mask slot ``s``, and only names with a slot, up to
+    the first conjunct that reads a name without one: a conjunct after it
+    could otherwise skip a bound value at which evaluation reaches it."""
+    guard, rest = [], []
+    assigned = True
+    for c in conjuncts:
+        reads = _reads(c, scope)
+        assigned = assigned and all(slot is not None for slot, _ in reads)
+        if assigned and all(slot != s and (bare or slot != z)
+                            for slot, bare in reads):
+            guard.append(c)
+        else:
+            rest.append(c)
+    return guard, rest
 
 
 def _membership(M: FiniteStructure, name: str):
@@ -129,17 +174,16 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
     ``test`` can make.  A free variable in neither ``fixed`` nor
     ``counted`` raises :class:`AssignmentError` only when evaluation
     reaches it.
+
+    When something is counted, a binder visits only the bound values its
+    guard allows: the conjuncts of its body (of the antecedent, for
+    ``forall z. A -> B``) that ``_guarded`` picks, compiled as a mask over
+    the bound variable and evaluated once per run of the binder.
     """
     names = [*fixed, *counted]
     width = len(names)
     visits = 0
     n_fixed = len(fixed)
-    # v: the slot of the last counted variable, whose values are the bits
-    # (read only when something is counted)
-    v = width - 1
-    domain = range(M.sizes[dict(free_variables(phi))[counted[-1]]]
-                   if counted else 1)
-    full = (1 << len(domain)) - 1
     indexes: Dict[tuple, dict] = {}
 
     def term(t, scope):
@@ -156,8 +200,8 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             return lambda env: table[tuple([a(env) for a in args])]
         raise TypeError(f"not a term: {t!r}")
 
-    def atom(f, scope):
-        # full or 0, reading v's slot like any other
+    def atom(f, scope, full):
+        # full or 0, reading the mask slot like any other
         if isinstance(f, Eq):
             i = scope.get(f.left.name) if isinstance(f.left, Var) else None
             j = scope.get(f.right.name) if isinstance(f.right, Var) else None
@@ -178,22 +222,38 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
         return lambda env: full if holds(tuple([a(env) for a in args])) else 0
 
     def index(name, pos, others):
-        # one scan of the table: values at ``others`` -> mask of v's values
+        # one scan of the table: values at ``others`` -> mask of the values
+        # at ``pos``
         if (name, pos) not in indexes:
             idx: dict = {}
-            p, rest = pos[0], pos[1:]
-            one = others[0] if len(others) == 1 else None
-            for tup in M.relations[name]:
-                b = tup[p]
-                if rest and any(tup[q] != b for q in rest):
-                    continue
-                k = tup[one] if one is not None else tuple([tup[o] for o in others])
-                idx[k] = idx.get(k, 0) | 1 << b
+            get = idx.get
+            table = M.relations[name]
+            if len(others) == 1 and len(pos) == 1:
+                # two columns, one key: unpack each pair, shift by lookup
+                bit = [1 << b for b in range(
+                    M.sizes[M.signature.relations[name][pos[0]]])]
+                if pos == (1,):
+                    for a, b in table:
+                        idx[a] = get(a, 0) | bit[b]
+                else:
+                    for a, b in table:
+                        idx[b] = get(b, 0) | bit[a]
+            else:
+                p, rest = pos[0], pos[1:]
+                one = others[0] if len(others) == 1 else None
+                for tup in table:
+                    b = tup[p]
+                    if rest and any(tup[q] != b for q in rest):
+                        continue
+                    k = (tup[one] if one is not None
+                         else tuple([tup[o] for o in others]))
+                    idx[k] = get(k, 0) | 1 << b
             indexes[name, pos] = idx
         return indexes[name, pos]
 
-    def relation_mask(f, pos, others, scope, reads):
-        # v bare at ``pos``; the terms at ``others`` do not read v
+    def relation_mask(f, pos, others, scope, reads, domain):
+        # the mask slot bare at ``pos``; the terms at ``others`` do not
+        # read it
         name, arity = f.name, len(f.args)
         keys = [term(f.args[p], scope) for p in others]
         steady = all(s is not None and s < n_fixed
@@ -201,7 +261,7 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
         if steady or name in M.virtual_relations:
             # a key that reads only fixed slots is the same all through a
             # count, and a virtual relation has no table to scan: fill each
-            # key's mask on first sight, one test per value of v
+            # key's mask on first sight, one test per value of the slot
             holds = _membership(M, name)
             masks: dict = {}
 
@@ -235,77 +295,118 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
             return idx.get(key(env), 0)
         return scanned
 
-    def walk(f, scope, reach):
-        # reach: the product of the enclosing binders' sort sizes, the
-        # most times one evaluation can reach ``f``
+    def walk(f, scope, reach, s, domain, full):
+        # masks over the values ``domain`` of slot ``s`` (``full``: all of
+        # them; ``s`` None: the truth value).  reach: the product of the
+        # enclosing binders' sort sizes, the most times one evaluation can
+        # reach ``f``
         nonlocal width, visits
         if isinstance(f, (Rel, Eq)):
-            if not counted:
-                return atom(f, scope)
+            if s is None:
+                return atom(f, scope, full)
             args = f.args if isinstance(f, Rel) else (f.left, f.right)
-            reads = [_slots_read(a, scope) for a in args]
-            pos = tuple(p for p, r in enumerate(reads) if v in r)
+            reads = [{slot for slot, _ in _reads(a, scope)} for a in args]
+            pos = tuple(p for p, r in enumerate(reads) if s in r)
             if not pos:
-                return atom(f, scope)
+                return atom(f, scope, full)
             others = [p for p in range(len(args)) if p not in pos]
             if any(not isinstance(args[p], Var) for p in pos):
-                # v under a function term: one scalar test per value of v
-                test = atom(f, scope)
+                # s under a function term: one scalar test per value of s
+                test = atom(f, scope, 1)
 
                 def each(env):
                     m = 0
                     for b in domain:
-                        env[v] = b
+                        env[s] = b
                         if test(env):
                             m |= 1 << b
                     return m
                 return each
             if isinstance(f, Rel):
-                return relation_mask(f, pos, others, scope, reads)
+                return relation_mask(f, pos, others, scope, reads, domain)
             if not others:
-                return lambda env: full           # v = v
+                return lambda env: full           # s = s
             other = term(args[others[0]], scope)
-            return lambda env: 1 << other(env)    # w = v
+            return lambda env: 1 << other(env)    # w = s
         if isinstance(f, Not):
-            body = walk(f.body, scope, reach)
+            body = walk(f.body, scope, reach, s, domain, full)
             return lambda env: full ^ body(env)
         if isinstance(f, (And, Or, Implies)):
-            left, right = walk(f.left, scope, reach), walk(f.right, scope, reach)
+            left = walk(f.left, scope, reach, s, domain, full)
+            right = walk(f.right, scope, reach, s, domain, full)
             if isinstance(f, And):
                 return lambda env: (m := left(env)) and m & right(env)
             if isinstance(f, Or):
                 return lambda env: (m if (m := left(env)) == full
                                     else m | right(env))
             return lambda env: (full ^ m) | right(env) if (m := left(env)) else full
-        if isinstance(f, (Exists, Forall)):
-            k = width
-            width += 1
-            values = range(M.sizes[f.sort])
-            visits += reach * len(values)
-            body = walk(f.body, {**scope, f.var: k}, reach * len(values))
-            if isinstance(f, Exists):
-                def exists(env):
-                    m = 0
-                    for b in values:
-                        env[k] = b
-                        m |= body(env)
-                        if m == full:
-                            break
-                    return m
-                return exists
+        if not isinstance(f, (Exists, Forall)):
+            raise TypeError(f"not a formula node: {f!r}")
+        k = width
+        width += 1
+        values = range(M.sizes[f.sort])
+        visits += reach * len(values)
+        reach *= len(values)
+        scope = {**scope, f.var: k}
+        exists = isinstance(f, Exists)
+        guard = []
+        # with nothing counted the plain loop stops at its first witness
+        # (counterexample), where building the guard would visit every value
+        if s is not None and (exists or isinstance(f.body, Implies)):
+            guard, rest = _guarded(_conjuncts(f.body if exists else f.body.left),
+                                   scope, k, s)
+        body = f.body
+        if guard:
+            allowed = walk(reduce(And, guard), scope, reach, k, values,
+                           (1 << len(values)) - 1)
+            if exists and not rest:
+                return lambda env: full if allowed(env) else 0
+            if exists:
+                body = reduce(And, rest)
+            elif rest:
+                body = Implies(reduce(And, rest), f.body.right)
+            else:
+                body = f.body.right
 
-            def forall(env):
-                m = full
-                for b in values:
+            # only the bound values in the guard's mask, lowest first: any
+            # other makes the body false (exists) or the implication true
+            # (forall), so it cannot change the result
+            def choices(env):
+                g = allowed(env)
+                while g:
+                    low = g & -g
+                    yield low.bit_length() - 1
+                    g ^= low
+        else:
+            def choices(env):
+                return values
+        body = walk(body, scope, reach, s, domain, full)
+        if exists:
+            def some(env):
+                m = 0
+                for b in choices(env):
                     env[k] = b
-                    m &= body(env)
-                    if not m:
+                    m |= body(env)
+                    if m == full:
                         break
                 return m
-            return forall
-        raise TypeError(f"not a formula node: {f!r}")
+            return some
 
-    test = walk(phi, {name: i for i, name in enumerate(names)}, 1)
+        def every(env):
+            m = full
+            for b in choices(env):
+                env[k] = b
+                m &= body(env)
+                if not m:
+                    break
+            return m
+        return every
+
+    s, domain = None, range(1)
+    if counted:   # v, the last counted variable
+        s, domain = width - 1, range(M.sizes[dict(free_variables(phi))[counted[-1]]])
+    test = walk(phi, {name: i for i, name in enumerate(names)}, 1, s, domain,
+                (1 << len(domain)) - 1)
     del walk, term   # they reach themselves through their cells
     return test, [*fixed.values(), *[0] * (width - len(fixed))], visits
 

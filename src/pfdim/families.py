@@ -54,7 +54,7 @@ from .vspace import Ambient
 MAX_UNIVERSE = 200_000
 MAX_TABLE_ENTRIES = 2_000_000
 # A summary whose sizes would take more bits than this is refused before it
-# is built (findelta at 10^5 would not fit in memory; at 64 it takes 1.8M).
+# is built (findelta at 10^5 would not fit in memory; at 200 it takes 320k).
 MAX_SUMMARY_BITS = 1 << 24
 
 
@@ -282,7 +282,7 @@ def family_summary(family: FamilyHandle, index: int):
         raise FamilyError("index must be >= 1")
     n = index   # the summary holds `sizes` sizes, the largest n^e
     sizes, e = {"earlyexample": (n, 2), "stablenonattainability": (n, n),
-                "findelta": (n * n, n), "rank2classes": (n + 1, 2),
+                "findelta": (n, n), "rank2classes": (n + 1, 2),
                 "convsupersimple": (n + 1, n)}[fid]
     bits = sizes * e * n.bit_length()
     if bits > MAX_SUMMARY_BITS:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 
 class PfdimError(Exception):
@@ -434,6 +435,18 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_rows(rows) -> List[tuple]:
+    """A JSON list of integer rows as tuples.  The entries' types are
+    checked a table at a time; when one is not ``int``, the per-entry
+    check names the first bad value."""
+    try:
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            return list(map(tuple, rows))
+    except TypeError:
+        pass
+    return [tuple(map(_json_int, row)) for row in rows]
+
+
 def _json_name(value) -> str:
     """A JSON string as it is: a sort or symbol name."""
     if type(value) is not str:
@@ -463,7 +476,7 @@ def structure_from_json_dict(data: dict) -> FiniteStructure:
         sorts = [(_json_name(d["name"]), _json_int(d["size"]))
                  for d in data["sorts"]]
         relations = [(_json_name(d["name"]), _json_names(d["sorts"]),
-                      [tuple(map(_json_int, t)) for t in d["tuples"]])
+                      _json_rows(d["tuples"]))
                      for d in data.get("relations", [])]
         functions = [(_json_name(d["name"]), _json_names(d["argSorts"]),
                       _json_name(d["resultSort"]),

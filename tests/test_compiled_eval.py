@@ -7,6 +7,7 @@ saving and restoring a bound variable around each quantifier.  It lives
 only in the tests.
 """
 
+import functools
 import gc
 import itertools
 import random
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pfdim import families
-from pfdim.counting import AssignmentError, count, evaluate
+from pfdim.counting import AssignmentError, compile_formula, count, evaluate
 from pfdim.families import make_homocyclic, make_vector_space
 from pfdim.logic import (And, App, Const, Eq, Exists, FiniteStructure, Forall,
                          Implies, Not, Or, Rel, Var, free_variables,
@@ -424,14 +425,15 @@ def random_large(seed, n):
         constants={"c": rng.randrange(n)})
 
 
-def has_binder(phi):
+def rank(phi):
+    """The most nested binders."""
     if isinstance(phi, (Exists, Forall)):
-        return True
+        return 1 + rank(phi.body)
     if isinstance(phi, Not):
-        return has_binder(phi.body)
+        return rank(phi.body)
     if isinstance(phi, (And, Or, Implies)):
-        return has_binder(phi.left) or has_binder(phi.right)
-    return False
+        return max(rank(phi.left), rank(phi.right))
+    return 0
 
 
 @MASK_SETTINGS
@@ -442,7 +444,7 @@ def test_count_past_one_word_matches_reference(data):
     phi = sort_check(data.draw(formulas(S_ATOMS, "S", quantifiers=1)), SIG)
     free = data.draw(st.permutations([n for n, _ in free_variables(phi)]))
     # two counted variables under a binder would take the reference too long
-    most = 1 if has_binder(phi) else 2
+    most = 1 if rank(phi) else 2
     n_counted = data.draw(st.integers(0, min(most, len(free))))
     counted = free[:n_counted]
     fixed = {v: data.draw(st.integers(0, n - 1)) for v in free[n_counted:]}
@@ -515,3 +517,128 @@ def test_count_and_evaluate_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Guarded binders: when something is counted, a binder loops only over the
+# bound values its guard allows, the conjuncts of its body (of the
+# antecedent, for forall z. A -> B) that read the bound variable bare, do
+# not read the last counted variable and read only names with a value.  The
+# literals below key a guard on another variable (E(x, z)), on none
+# (E(z, z), P(z)) or on a constant (c = z), plain or negated; P(f(z)) and a
+# literal on the last counted variable stay out, so a guard may be empty.
+
+
+def guard_literals(b):
+    bound = Var(b, "S")
+    other = st.sampled_from([Var(n, "S") for n in NAMES])
+    atoms = st.one_of(
+        st.builds(lambda o: E(bound, o), other),
+        st.builds(lambda o: E(o, bound), other),
+        st.builds(lambda o: Eq(bound, o), other),
+        st.sampled_from([P(bound), E(bound, bound), Eq(Const("c"), bound),
+                         P(App("f", (bound,)))]))
+    return atoms | st.builds(Not, atoms)
+
+
+@st.composite
+def guarded_formulas(draw, nested=1, extra=None):
+    """``exists b. C1 & ... & Ck`` or ``forall b. (C1 & ... & Ck) -> D``;
+    a conjunct may be a guarded binder itself, over the same name mostly,
+    and ``extra``, when given, is put among the conjuncts."""
+    b = draw(st.sampled_from("zzzx"))
+    parts = guard_literals(b)
+    if nested:
+        parts = parts | guarded_formulas(nested - 1)
+    conjuncts = draw(st.lists(parts, min_size=1, max_size=4))
+    if extra is not None:
+        conjuncts.insert(draw(st.integers(0, len(conjuncts))), extra)
+    body = functools.reduce(And, conjuncts)
+    if draw(st.booleans()):
+        phi = Exists(b, "S", body)
+    else:
+        phi = Forall(b, "S", Implies(body, draw(parts)))
+    if draw(st.booleans()):   # beside a quantifier-free atom on x and y
+        phi = draw(st.sampled_from([And, Or]))(E(x, y), phi)
+    return phi
+
+
+def guarded_case(data, extra=None):
+    """A guarded formula, a structure with guard masks on either side of a
+    64-bit word (small ones under nested binders, for the reference's
+    sake), and the free variables in a random order."""
+    phi = sort_check(data.draw(guarded_formulas(extra=extra)), SIG)
+    sizes = [1, 2, 5, 63, 64, 65, 70] if rank(phi) < 2 else [1, 2, 5, 9]
+    n = data.draw(st.sampled_from(sizes))
+    M = random_large(data.draw(st.integers(0, 2 ** 32)), n)
+    free = data.draw(st.permutations([v for v, _ in free_variables(phi)]))
+    return phi, M, n, free
+
+
+@MASK_SETTINGS
+@given(data=st.data())
+def test_guarded_count_matches_reference(data):
+    phi, M, n, free = guarded_case(data)
+    # at least one counted variable, so the binders are guarded; as many as
+    # keep the reference's n^(counted + rank) visits small
+    most = max(k for k in range(len(free) + 1)
+               if k <= 1 or n ** (k + rank(phi)) <= 25_000)
+    n_counted = data.draw(st.integers(min(1, len(free)), most))
+    counted = free[:n_counted]
+    fixed = {v: data.draw(st.integers(0, n - 1)) for v in free[n_counted:]}
+    assert (count(phi, M, fixed, counted).value
+            == ref_count(phi, M, fixed, counted, "S"))
+
+
+@MASK_SETTINGS
+@given(data=st.data())
+def test_unassigned_conjunct_is_reached_as_in_the_reference(data):
+    # P(w) has no value for w: a guard stops before it, so wherever the
+    # reference reaches it for some value of the last counted variable,
+    # the compiled masks reach it too; where they do not, the masks agree
+    phi, M, n, free = guarded_case(data, extra=P(Var("w", "S")))
+    free = [v for v in free if v != "w"]
+    if not free:
+        assert (outcome(evaluate, phi, M, {})
+                == outcome(ref_eval, phi, M, {}))
+        return
+    counted = free[:1 if n > 9 else len(free)]
+    fixed = {v: data.draw(st.integers(0, n - 1))
+             for v in free[len(counted):]}
+    test, env, _ = compile_formula(phi, M, fixed, counted)
+    first = len(fixed)
+    for values in itertools.product(range(n), repeat=len(counted) - 1):
+        env[first:first + len(values)] = values
+        seen = [outcome(ref_eval, phi, M,
+                        {**fixed, **dict(zip(counted, values + (b,)))})
+                for b in range(n)]
+        try:
+            mask = test(env)
+        except AssignmentError:
+            continue
+        assert seen == [bool(mask >> b & 1) for b in range(n)]
+
+
+class TestGuardedBinders:
+    def test_two_step_path_is_a_union_of_index_rows(self):
+        # exists z. E(x, z) & E(z, y): the rows E(z, .) over z in E(x, .)
+        phi = checked(Exists("z", "S", And(E(x, z), E(z, y))))
+        rows = {a: {b for c, b in M70.relations["E"] if c == a}
+                for a in range(70)}
+        want = sum(len(set().union(*[rows[c] for c in rows[a]]))
+                   for a in range(70))
+        assert count(phi, M70, {}, ["x", "y"]).value == want
+
+    def test_conjunct_after_an_unassigned_name_stays_out_of_the_guard(self):
+        # on M4, E(3, .) is empty: a guard of E(x, z) would skip every z,
+        # but the reference reads P(w) first at z = 0
+        w = Var("w", "S")
+        for phi in (Exists("z", "S", And(P(w), And(E(x, z), E(z, y)))),
+                    Forall("z", "S", Implies(And(P(w), E(x, z)), E(z, y)))):
+            test, env, _ = compile_formula(checked(phi), M4, {"x": 3}, ["y"])
+            with pytest.raises(AssignmentError, match="no value for variable w"):
+                test(env)
+        # after the guard it is reached only where the guard holds
+        phi = checked(Exists("z", "S", And(E(x, z), And(P(w), E(z, y)))))
+        test, env, _ = compile_formula(phi, M4, {"x": 3}, ["y"])
+        assert test(env) == 0

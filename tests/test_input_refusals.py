@@ -168,6 +168,21 @@ class TestHugeIndex:
             family_summary(get_family("findelta"), 10 ** 5)
 
 
+class TestFindeltaSummaryOfRuns:
+    # findelta's summary is n runs (n classes of each size n^i), so the
+    # size guard counts n sizes of up to n^n, not n^2
+    def test_index_200_counts(self, capsys):
+        code, out, _ = run(capsys, "family", "--name", "findelta", "--index",
+                           "200", "--formula", "E(x, x)")
+        assert code == 0
+        total = sum(200 * 200 ** i for i in range(1, 201))
+        assert json.loads(out)["count"] == str(total)
+
+    def test_index_10_to_the_5_is_still_refused(self):
+        with pytest.raises(FamilyError, match="the summary would take"):
+            family_summary(get_family("findelta"), 10 ** 5)
+
+
 class TestCyclicGroupOrder:
     @pytest.mark.parametrize("group", ["C0", "C1025", "C" + "9" * 30, "C²"])
     def test_refused(self, capsys, group):
