@@ -386,14 +386,15 @@ def _concrete_exponent(atoms: Sequence[StandardAtom], p: int, n: int,
     return (0, n - e)
 
 
-def _solvability_pattern(pos, neg, params, p, n, m, var) -> FrozenSet[FrozenSet[int]]:
-    pat = set()
-    for size in range(len(neg) + 1):
-        for sub in combinations(range(len(neg)), size):
-            system = list(pos) + [neg[i] for i in sub]
-            if _solve_positive(system, params, p, n, m, var) is not None:
-                pat.add(frozenset(sub))
-    return frozenset(pat)
+def _solvability_pattern(pos, neg, params, p, n, m, var) -> int:
+    """The negation subsets whose system is solvable, as a bitmask over
+    ``_subsets(len(neg))``."""
+    mask = 0
+    for b, sub in enumerate(_subsets(len(neg))):
+        system = list(pos) + [neg[i] for i in sub]
+        if _solve_positive(system, params, p, n, m, var) is not None:
+            mask |= 1 << b
+    return mask
 
 
 def _subsets(t: int) -> List[FrozenSet[int]]:
@@ -402,31 +403,29 @@ def _subsets(t: int) -> List[FrozenSet[int]]:
             for s in combinations(range(t), size)]
 
 
-def _downward_closed_patterns(t: int) -> List[FrozenSet[FrozenSet[int]]]:
+def _downward_closed_masks(t: int) -> List[int]:
     """All downward-closed families of subsets of {0..t-1}: the possible
-    nonemptiness patterns (adding atoms can only shrink a coset).
+    nonemptiness patterns (adding atoms can only shrink a coset), each as a
+    bitmask over ``_subsets(t)``, sorted.
 
     Generated directly rather than filtered from all 2^(2^t) families: the
     subsets are visited in size order and one is taken only if each of its
     one-smaller subsets already is (closure under dropping one element is
-    closure under dropping any).  A family is a bitmask over ``_subsets(t)``
-    and the list is sorted by it."""
+    closure under dropping any)."""
     subsets = _subsets(t)
     position = {s: i for i, s in enumerate(subsets)}
-    below = [[position[s - {e}] for e in s] for s in subsets]
-    masks: List[int] = []
+    masks = [0]
+    for i, s in enumerate(subsets):
+        below = sum(1 << position[s - {e}] for e in s)
+        masks += [mask | 1 << i for mask in masks if mask & below == below]
+    return sorted(masks)
 
-    def extend(i: int, mask: int) -> None:
-        if i == len(subsets):
-            masks.append(mask)
-            return
-        extend(i + 1, mask)
-        if all(mask >> j & 1 for j in below[i]):
-            extend(i + 1, mask | 1 << i)
 
-    extend(0, 0)
+def _downward_closed_patterns(t: int) -> List[FrozenSet[FrozenSet[int]]]:
+    """``_downward_closed_masks(t)`` as families of subsets."""
+    subsets = _subsets(t)
     return [frozenset(s for i, s in enumerate(subsets) if mask >> i & 1)
-            for mask in sorted(masks)]
+            for mask in _downward_closed_masks(t)]
 
 
 def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
@@ -439,17 +438,21 @@ def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
     D = 2 * d + 2
     regimes: List[Tuple[str, Optional[int]]] = (
         [(f"n={n0}", n0) for n0 in range(1, D + 1)] + [(f"n>{D}", None)])
-    patterns = [(pattern, "solvable negation-subsets: "
-                 + ("{" + ", ".join(sorted(
-                     "{" + ",".join(str(i + 1) for i in sorted(s)) + "}"
-                     for s in pattern)) + "}" if pattern else "none"))
-                for pattern in _downward_closed_patterns(t)]
+    subsets = _subsets(t)
+    names = ["{" + ",".join(str(i + 1) for i in sorted(s)) + "}"
+             for s in subsets]
+    masks = _downward_closed_masks(t)
+    descs = []
+    for mask in masks:
+        taken = sorted(name for b, name in enumerate(names) if mask >> b & 1)
+        descs.append("solvable negation-subsets: "
+                     + ("{" + ", ".join(taken) + "}" if taken else "none"))
     # one solvability pattern per (n, m, params), shared by every guard of
     # this catalog: at most one regime matches n, and its guards all fire
     # on the same pattern
-    solvable: Dict[tuple, FrozenSet[FrozenSet[int]]] = {}
+    solvable: Dict[tuple, int] = {}
 
-    def actual(n, m, params) -> FrozenSet[FrozenSet[int]]:
+    def actual(n, m, params) -> int:
         key = (n, m, tuple(map(tuple, params)))
         if key not in solvable:
             solvable[key] = _solvability_pattern(pos, neg, params, p, n, m, var)
@@ -457,31 +460,37 @@ def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
 
     cases = []
     for regime_desc, n0 in regimes:
-        # the monomial of one negation subset is the same in every pattern
-        exponent = {}
-        for sub in _subsets(t):
+        # the monomial of one negation subset is the same in every pattern,
+        # so a pattern's coefficient of a monomial is the number of its
+        # even-size subsets with that monomial minus the odd-size ones
+        parity: Dict[Tuple[int, int], List[int]] = {}
+        for b, sub in enumerate(subsets):
             system = list(pos) + [neg[i] for i in sub]
             if n0 is None:
-                exponent[sub] = _generic_exponent(system, p, var)
+                ij = _generic_exponent(system, p, var)
             else:
-                exponent[sub] = _concrete_exponent(system, p, n0, var, d)
-        for pattern, pattern_desc in patterns:
-            coeffs: Dict[Tuple[int, int], int] = {}
-            for sub in pattern:
-                ij = exponent[sub]
-                coeffs[ij] = coeffs.get(ij, 0) + (-1) ** len(sub)
-            poly = make_poly(1, d, coeffs)
-            desc = f"{regime_desc}; {pattern_desc}"
+                ij = _concrete_exponent(system, p, n0, var, d)
+            parity.setdefault(ij, [0, 0])[len(sub) & 1] |= 1 << b
+        monomials = list(parity)
+        columns = [[(mask & even).bit_count() - (mask & odd).bit_count()
+                    for mask in masks] for even, odd in parity.values()]
+        polys: Dict[Tuple[int, ...], ExponentPolynomial] = {}
+        for mask, pattern_desc, coeffs in zip(masks, descs, zip(*columns)):
+            poly = polys.get(coeffs)
+            if poly is None:
+                poly = polys[coeffs] = make_poly(1, d,
+                                                 dict(zip(monomials, coeffs)))
 
-            def fires(n, m, params, _n0=n0, _pat=pattern, _D=D):
+            def fires(n, m, params, _n0=n0, _mask=mask, _D=D):
                 if _n0 is None:
                     if n <= _D:
                         return False
                 elif n != _n0:
                     return False
-                return actual(n, m, params) == _pat
+                return actual(n, m, params) == _mask
 
-            cases.append(GuardedPoly(poly, desc, fires))
+            cases.append(GuardedPoly(poly, f"{regime_desc}; {pattern_desc}",
+                                     fires))
     return cases
 
 
@@ -531,16 +540,16 @@ def symbolic_count(atoms: Sequence[StandardAtom], r: int, p: int,
 
     cases = []
     for combo in product(*per_var):
+        # the product polynomial: one term per choice of a term per factor
         coeffs: Dict[Tuple[int, int], int] = {}
-
-        def add_product(idx, i_acc, j_acc, c_acc):
-            if idx == len(combo):
-                coeffs[(i_acc, j_acc)] = coeffs.get((i_acc, j_acc), 0) + c_acc
-                return
-            for (i, j), c in combo[idx].poly.coeffs:
-                add_product(idx + 1, i_acc + i, j_acc + j, c_acc * c)
-
-        add_product(0, 0, 0, 1)
+        for terms in product(*(case.poly.coeffs for case in combo)):
+            i = j = 0
+            c = 1
+            for (ti, tj), tc in terms:
+                i += ti
+                j += tj
+                c *= tc
+            coeffs[(i, j)] = coeffs.get((i, j), 0) + c
         poly = make_poly(r, d, coeffs)
         desc = " AND ".join(f"[x{i+1}: {case.guard}]"
                             for i, case in enumerate(combo))

@@ -21,8 +21,90 @@ from .parser import ParseDiagnostic, parse_formula
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write ``payload`` as ``json.dump(payload, indent=2)`` would, then a
+    newline, in one write.  ``json``'s own encoder with ``indent`` is pure
+    Python and leaves its closures as cyclic garbage on every call."""
+    out: List[str] = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+_encode_str = json.encoder.encode_basestring_ascii   # C code
+
+
+def _encode_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# by exact type; a subclass goes through _scalar's isinstance checks
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: _encode_float,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _encode_float(value)
+    raise TypeError(
+        f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _encode_key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):   # bool is an int
+        return _encode_str(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(value, newline: str, out: List[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is a newline and
+    the indent of the line ``value`` starts on."""
+    text = _SCALAR_TEXT.get(value.__class__)
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _encode_key(key) + ": ")
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_scalar(value))
 
 
 def _parse_ints(text: str) -> List[int]:

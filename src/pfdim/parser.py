@@ -51,19 +51,22 @@ class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.tokens = []  # (kind, value, offset)
+        # one scan; a match that does not start where the last one ended
+        # skipped a character no token matches
         pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise self.diag_at(pos, f"unexpected character {text[pos]!r}")
-            pos = m.end()
-            if m.lastgroup == "ws":
+        for m in _TOKEN.finditer(text):
+            if m.start() != pos:
+                break
+            start, pos = pos, m.end()
+            kind = m.lastgroup
+            if kind == "ws":
                 continue
             value = m.group()
-            kind = m.lastgroup
             if kind == "name" and value in _KEYWORDS:
                 kind = "keyword"
-            self.tokens.append((kind, value, m.start()))
+            self.tokens.append((kind, value, start))
+        if pos < len(text):
+            raise self.diag_at(pos, f"unexpected character {text[pos]!r}")
         self.tokens.append(("eof", "", len(text)))
         self.i = 0
 

@@ -1,10 +1,15 @@
 """Command-line interface: JSON output, exit codes, golden results."""
 
+import contextlib
+import enum
+import gc
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pfdim.cli import main
+from pfdim.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -310,3 +315,94 @@ class TestParserReuse:
                            "--formula", "E(x, y)", "--count-vars", "x")
         assert code == 1
         assert "unassigned free variables: ['y']" in err
+
+
+# ---------------------------------------------------------------------------
+# _emit writes exactly what json.dump(..., indent=2) writes
+
+
+def emitted(payload):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(payload)
+    return out.getvalue()
+
+
+# quotes, backslashes, control and non-ASCII characters
+AWKWARD = '"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028\U0001f600'
+TEXT = st.one_of(st.text(max_size=12),
+                 st.text(st.sampled_from(AWKWARD), max_size=8))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), TEXT,
+    st.integers(),
+    st.integers(-10 ** 60, 10 ** 60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0,
+                     1e-320, 1e300]))
+KEYS = st.one_of(TEXT, st.integers(-10 ** 20, 10 ** 20),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.booleans(), st.none())
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestEmit:
+    @settings(max_examples=400, deadline=None)
+    @given(VALUES)
+    def test_same_bytes_as_json(self, payload):
+        assert emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), {"a": {}}, {"a": []}, [[], {}, [[]], [{}]],
+        {"a": ({},)}, {1: [], None: {}, True: "t", 2.5: ()}])
+    def test_empty_containers(self, payload):
+        assert emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_subclasses_of_json_types(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        class Name(str):
+            pass
+
+        payload = {Name("k"): [Level.LOW, Name("v\n")], Level.LOW: 2.5}
+        assert emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"a": [1, {2}]}, {"a": object()}, [b"bytes"], {(1, 2): 3},
+        {"a": {"b": 1j}}])
+    def test_unserializable_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError):
+            emitted(payload)
+
+    def test_no_cyclic_garbage(self):
+        # json's pure-Python indent encoder left closures and an encoder
+        # object in reference cycles on every call
+        payload = {"cases": [{"k": 1, "d": 2, "guard": "n=1; none",
+                              "coeffs": [{"i": 0, "j": -1, "c": -2}]}],
+                   "floats": (0.5, float("inf"), float("nan")),
+                   "flags": [None, True, False], "empty": [{}, [], ()]}
+        catalog = ["abelian-count", "--p", "2", "--n", "2", "--m", "1",
+                   "--s", "0", "--d", "2", "--symbolic"]
+        one = catalog + ["--r", "1", "--formula",
+                         "!2*x1 = 0 & !div(2^1, 1*x1) & div(2^2, 2*x1)"]
+        two = catalog + ["--r", "2", "--formula",
+                         "!2*x1 = 0 & !div(2^1, 1*x2)"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(one)   # builds the cached argument parser, which has cycles
+        gc.collect()
+        gc.disable()
+        try:
+            emitted(payload)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(one) == 0
+                assert main(two) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

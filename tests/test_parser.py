@@ -83,6 +83,21 @@ class TestDiagnostics:
         assert exc.value.line >= 1
         assert exc.value.column >= 1
 
+    @pytest.mark.parametrize("text, offset, line, column", [
+        ("   # P(x)", 3, 1, 4),            # after leading whitespace
+        ("P(x) &\n  $P(y)", 9, 2, 3),       # after a newline
+        ("P(x) & P(y)#", 11, 1, 12),        # the last character of the text
+        ("P(x)%& P(y)", 4, 1, 5),           # straight after a token
+        ("E(x1é, y)", 4, 1, 5),             # straight after a name
+    ])
+    def test_bad_character_position(self, text, offset, line, column):
+        with pytest.raises(ParseDiagnostic) as exc:
+            parse_formula(text, SIG)
+        assert (exc.value.offset, exc.value.line, exc.value.column) == (
+            offset, line, column)
+        assert str(exc.value) == (
+            f"{line}:{column}: unexpected character {text[offset]!r}")
+
     @pytest.mark.parametrize("text, where", [
         ("c(x) = x", "1:1"), ("x = c()", "1:5"), ("E(x, f(c(y)))", "1:8")])
     def test_constant_with_arguments_reported_at_its_name(self, text, where):

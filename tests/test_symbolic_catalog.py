@@ -3,7 +3,8 @@ patterns, one solvability pattern per guard evaluation point, and the
 catalog itself, each against a slow reference kept here."""
 
 import random
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,62 @@ def test_catalog_equals_reference(seed, negations):
     d = abelian.derived_bound(atoms, p)
     got = [c.to_json_dict() for c in symbolic_count(atoms, 1, p, d)]
     assert got == reference_catalog(atoms, p, d)
+
+
+def product_reference(per_var, d):
+    """Reference: the product catalog from one-variable catalogs in
+    ``to_json_dict`` form, multiplying the polynomials term by term."""
+    out = []
+    for combo in product(*per_var):
+        coeffs = {(0, 0): 1}
+        for case in combo:
+            step = {}
+            for (i, j), c in coeffs.items():
+                for term in case["coeffs"]:
+                    ij = (i + term["i"], j + term["j"])
+                    step[ij] = step.get(ij, 0) + c * term["c"]
+            coeffs = step
+        guard = " AND ".join(f"[x{i + 1}: {case['guard']}]"
+                             for i, case in enumerate(combo))
+        out.append({**abelian.make_poly(len(combo), d, coeffs).to_json_dict(),
+                    "guard": guard})
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 5]),
+       st.integers(0, 4), st.integers(0, 2))
+def test_catalog_equals_reference_randomized(seed, p, negations, extra):
+    rng = random.Random(seed)
+    atoms = random_atoms(rng, p, negations)
+    d = abelian.derived_bound(atoms, p) + extra
+    got = [c.to_json_dict() for c in symbolic_count(atoms, 1, p, d)]
+    assert got == reference_catalog(atoms, p, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 5]),
+       st.integers(0, 4), st.integers(0, 2))
+def test_product_catalog_equals_reference(seed, p, negations, extra):
+    """Two counted variables, each with its own atoms: the catalog is the
+    product of the one-variable reference catalogs, case by case."""
+    rng = random.Random(seed)
+    first = rng.randint(0, negations)
+    per_var_atoms = [random_atoms(rng, p, first),
+                     random_atoms(rng, p, negations - first)]
+
+    def on(a, xs):
+        return replace(a, term=LinearTerm(xs, a.term.y_coeffs))
+
+    atoms = ([on(a, (a.term.x_coeffs[0], 0)) for a in per_var_atoms[0]]
+             + [on(a, (0, a.term.x_coeffs[0])) for a in per_var_atoms[1]])
+    d = abelian.derived_bound(atoms, p) + extra
+    got = [c.to_json_dict() for c in symbolic_count(atoms, 2, p, d)]
+    want = product_reference(
+        [reference_catalog(group, p, d) for group in per_var_atoms], d)
+    assert len(got) == len(want)
+    for got_case, want_case in zip(got, want):
+        assert got_case == want_case
 
 
 class TestSharedSolvability:
