@@ -11,7 +11,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import abelian, dimension, families, groups, measure, vspace
 from .counting import AssignmentError, count as engine_count
@@ -362,6 +362,13 @@ def _cmd_word_image(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> Tuple[argparse.ArgumentParser,
+                      Dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each subcommand's own parser by name; every
+    subcommand sets ``command`` to its name, as the top parser does."""
     top = argparse.ArgumentParser(
         prog="pfdim",
         description="Exact counting of definable sets in finite structures")
@@ -455,19 +462,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word-evaluation budget (default 10^8)")
     p.set_defaults(func=_cmd_word_image)
 
-    return top
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    return top, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> Tuple[argparse.ArgumentParser,
+                        Dict[str, argparse.ArgumentParser]]:
     # built on the first main() call, not at import, and then reused:
     # building costs about 30 times as much as parsing one command line
-    return build_parser()
+    return _build()
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """``argv`` parsed as the top parser parses it.  A known subcommand
+    goes straight to its own parser, at half the cost, with the same
+    namespace, usage text and exit code; anything else (no argv, an unknown
+    command, --help) goes through the top parser."""
+    top, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:    # reported by the top parser, as its parse_args does
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the input-error code
         return 0 if exc.code in (0, None) else 1

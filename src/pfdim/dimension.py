@@ -138,7 +138,7 @@ def chain_detect(family: FamilyHandle,
     strictly drops the dimension (consecutive 'greater' verdicts).  A zero
     count terminates the chain.
     """
-    steps = tuple((f, s) for f, s in steps)
+    steps = tuple([(f, s) for f, s in steps])
 
     def prefix_counts(at):
         counts = []
@@ -152,7 +152,7 @@ def chain_detect(family: FamilyHandle,
 
     points = family_sequence(family, indices, prefix_counts)
     seqs = [CardinalitySequence(family.family_id, text, selector,
-                                tuple((n, row[j]) for n, row in points))
+                                tuple([(n, row[j]) for n, row in points]))
             for j, (text, selector) in enumerate(steps)]
     verdicts = [delta_compare(a, b, tau, burn_in).classification
                 for a, b in zip(seqs, seqs[1:])]
@@ -162,8 +162,8 @@ def chain_detect(family: FamilyHandle,
             drop += 1
         else:
             break
-    return ChainReport(steps, tuple(n for n, _ in points),
-                       tuple(tuple(seq.log_values) for seq in seqs),
+    return ChainReport(steps, tuple([n for n, _ in points]),
+                       tuple([tuple(seq.log_values) for seq in seqs]),
                        tuple(verdicts), drop, tau)
 
 
@@ -208,12 +208,12 @@ def fmv_spectrum(family: FamilyHandle, phi_text: str,
     this formula."""
     points = family_sequence(family, indices,
                              lambda at: tuple(at.spectrum(phi_text)))
-    rows = tuple(logs for _, logs in points)
-    clusters = tuple(cluster_count(logs, gamma) for logs in rows)
+    rows = tuple([logs for _, logs in points])
+    clusters = tuple([cluster_count(logs, gamma) for logs in rows])
     unbounded = (len(clusters) >= 2
                  and all(b > a for a, b in zip(clusters, clusters[1:])))
     return SpectrumReport(family.family_id, phi_text,
-                          tuple(n for n, _ in points), rows, clusters, gamma,
+                          tuple([n for n, _ in points]), rows, clusters, gamma,
                           unbounded)
 
 

@@ -30,9 +30,12 @@ Every formula text is parsed by ``FamilyAt.conjunctions``, and every count
 sequence loops over its indices in ``family_sequence`` (``count_family``
 for one formula).  A request is parsed once and compiled once per shape of
 M': the ``FamilyAt``s of one ``family_sequence`` call share one memo, which
-keeps the parsed steps, each formula's free variables and binder depths,
-and per shape the compiled formula and its truth at each type.  The shape
-stops depending on n once every class size exceeds r.
+keeps the parsed steps (a parse stands at every index whose signature
+resolves the texts' names alike), each formula's free variables and binder
+depths, and per shape the compiled formula and its truth at each type.
+The shape stops depending on n once every class size exceeds r, and a
+spectrum evaluates the formula once per shape, weighing the same truths
+for every class size of that shape.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .counting import CardinalitySequence, Count, compile_formula, get_budget
 from .logic import (And, Exists, FiniteStructure, Forall, Formula, Implies,
                     Not, Or, PfdimError, Rel, Signature, free_variables,
                     make_signature, rename_free)
-from .parser import parse_formula
+from .parser import identifiers, parse_formula, reads_alike
 from .vspace import Ambient
 
 MAX_UNIVERSE = 200_000
@@ -92,19 +95,24 @@ class EquivSummary:
     _starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # every tuple here and on the per-index path is built from a list,
+        # at its exact size: one grown from an iterator of unknown length
+        # can stay parked in CPython's tuple free lists until a full
+        # collection, so peak memory would depend on when the gc runs
         object.__setattr__(self, "_first", tuple(
-            accumulate(self.mults, initial=0)))
-        object.__setattr__(self, "_starts", tuple(
-            accumulate(map(mul, self.sizes, self.mults), initial=0)))
+            list(accumulate(self.mults, initial=0))))
+        object.__setattr__(self, "_starts", tuple(list(
+            accumulate(map(mul, self.sizes, self.mults), initial=0))))
 
     @property
     def runs(self) -> Tuple[Tuple[int, int], ...]:
         """``(size, multiplicity)`` for each run."""
-        return tuple(zip(self.sizes, self.mults))
+        return tuple(list(zip(self.sizes, self.mults)))
 
     @property
     def class_sizes(self) -> Tuple[int, ...]:
-        return tuple(chain.from_iterable(map(repeat, self.sizes, self.mults)))
+        return tuple(list(chain.from_iterable(
+            map(repeat, self.sizes, self.mults))))
 
     @property
     def total(self) -> int:
@@ -195,12 +203,12 @@ def _earlyexample_runs(k: int) -> _Runs:
 
 
 def _stablenonattainability_runs(n: int) -> _Runs:
-    return tuple(accumulate(repeat(n, n), mul)), (1,) * n
+    return tuple(list(accumulate(repeat(n, n), mul))), (1,) * n
 
 
 def _findelta_runs(n: int) -> _Runs:
     # n classes of size n^i for each level i = 1..n
-    return tuple(accumulate(repeat(n, n), mul)), (n,) * n
+    return tuple(list(accumulate(repeat(n, n), mul))), (n,) * n
 
 
 def _rank2classes_runs(n: int) -> _Runs:
@@ -292,7 +300,8 @@ def family_summary(family: FamilyHandle, index: int):
         return EquivSummary(*_EQUIV_FAMILIES[fid](index))
     return NestedPredSummary(
         total=index ** index,
-        pred_sizes=tuple(index ** (index - i) for i in range(1, index + 1)))
+        pred_sizes=tuple([index ** (index - i)
+                          for i in range(1, index + 1)]))
 
 
 def family_signature(family: FamilyHandle, index: int) -> Signature:
@@ -555,6 +564,52 @@ def _types(state, k: int):
             yield (e,) + reps, weight * more, last
 
 
+def _leaves(state, k: int):
+    """``(leaf, weight)`` for each type of the ``k`` counted variables: the
+    variables' elements in M' and the number of tuples of M of that type.
+    A list when k <= 1 (for k = 0 the empty leaf, of weight 1), else a
+    generator."""
+    if k == 0:
+        return [((), 1)]
+    if k == 1:
+        return [((e,), w) for e, w in _last_choices(*state)]
+    return ((reps + (e,), weight * w)
+            for reps, weight, last in _types(state, k) for e, w in last)
+
+
+def _compiled(phi, names: Tuple[str, ...], shape: tuple,
+              fixed: Dict[str, int], counted: List[str], memo: dict):
+    """``(phi, test, env, first, truths)``: ``phi`` compiled once per
+    ``memo`` on M' of ``shape``, the parameters fixed and the counted
+    variables as the slots from ``first`` on, and its truth at each leaf
+    evaluated so far.  The entry keeps phi, so its id is not reused while
+    the memo lives."""
+    key = ("model", id(phi), shape, tuple(fixed.items()), tuple(counted))
+    entry = memo.get(key)
+    if entry is None:
+        test, env, _ = compile_formula(
+            phi, _small_structure(names, shape),
+            {**fixed, **dict.fromkeys(counted, 0)})
+        entry = memo[key] = (phi, test, env, len(fixed), {})
+    return entry
+
+
+def _weighed(entry, typed) -> int:
+    """The sum of the weights of the ``(leaf, weight)`` pairs ``typed``
+    whose leaf satisfies the compiled formula ``entry``: truths times
+    weights, each leaf evaluated once per entry."""
+    _, test, env, first, truths = entry
+    total = 0
+    for leaf, weight in typed:
+        truth = truths.get(leaf)
+        if truth is None:
+            env[first:first + len(leaf)] = leaf
+            truth = truths[leaf] = test(env)
+        if truth:
+            total += weight
+    return total
+
+
 def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
                  counted: List[str], memo: Optional[dict] = None,
                  budget: Optional[int] = None) -> Count:
@@ -585,44 +640,21 @@ def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
         limit = memo.get("budget")
         if limit is None:
             limit = memo["budget"] = get_budget()
+    typed = _leaves(state, k)
     if k > 1:
         leaves = 0
         for _, _, last in _types(state, k):
             leaves += len(last)
             if leaves * steps > limit:
                 break
-        types = _types(state, k)       # walked again below, evaluating
     else:
-        types = [((), 1, _last_choices(*state))] if k else []
-        leaves = len(types[0][2]) if k else 1
+        leaves = len(typed)
     if leaves * steps > limit:
         raise FamilyError(
             f"count could take at least {leaves * steps} steps, type "
             f"leaves times quantifier visits (budget exceeded)")
-    # the entry keeps phi, so its id is not reused while the memo lives
-    key = ("model", id(phi), shape, tuple(fixed.items()), tuple(counted))
-    entry = memo.get(key)
-    if entry is None:
-        # the counted variables are slots too, set to each leaf in turn
-        test, env, _ = compile_formula(
-            phi, _small_structure(names, shape),
-            {**fixed, **dict.fromkeys(counted, 0)})
-        entry = memo[key] = (phi, test, env, {})
-    _, test, env, truths = entry
-    if not counted:
-        return Count(test(env))
-    first = len(fixed)
-    total = 0
-    for reps, weight, last in types:
-        for e, w in last:
-            leaf = reps + (e,)
-            truth = truths.get(leaf)
-            if truth is None:
-                env[first:first + k] = leaf
-                truth = truths[leaf] = test(env)
-            if truth:
-                total += weight * w
-    return Count(total)
+    return Count(_weighed(_compiled(phi, names, shape, fixed, counted, memo),
+                          typed))
 
 
 class FamilyAt:
@@ -654,13 +686,26 @@ class FamilyAt:
                      ) -> List[Tuple[Formula, Dict[str, ElemRef]]]:
         """``(phi, params)`` for each prefix conjunction of the
         ``(formula text, selector)`` steps, each text parsed with this
-        index's signature (once per request while the signature is the
-        same object).  A step with a selector has its ``y`` renamed to
-        ``y#<step>``, a name no formula text can use, fixed to the
-        selector's element at this index."""
-        steps = tuple((text, selector) for text, selector in steps)
-        parsed = self.memo.get(("steps", steps))
-        fresh = parsed is None or parsed[0] is not self.signature
+        index's signature.  The texts are parsed once per request: a parse
+        made under another index's signature stands whenever every
+        identifier in the texts resolves alike under both
+        (``parser.reads_alike``), as on ``convsupersimple`` while the texts
+        name no predicate the other index lacks; otherwise they are parsed
+        again, and fail as a fresh parse would.  A step with a selector has
+        its ``y`` renamed to ``y#<step>``, a name no formula text can use,
+        fixed to the selector's element at this index."""
+        steps = tuple([(text, selector) for text, selector in steps])
+        key = ("steps", steps)
+        parsed = self.memo.get(key)
+        if parsed is not None and parsed[0] is not self.signature:
+            sig, phis, names = parsed
+            if names is None:    # read once per request, when first needed
+                names = frozenset().union(
+                    *[identifiers(text) for text, _ in steps])
+                self.memo[key] = sig, phis, names
+            if not reads_alike(names, sig, self.signature):
+                parsed = None
+        fresh = parsed is None
         phis: List[Formula] = [] if fresh else parsed[1]
         out: List[Tuple[Formula, Dict[str, ElemRef]]] = []
         params: Dict[str, ElemRef] = {}
@@ -674,7 +719,7 @@ class FamilyAt:
                 params = {**params, f"y#{j}": self.selector(selector)["y"]}
             out.append((phis[j - 1], params))
         if fresh:
-            self.memo[("steps", steps)] = (self.signature, phis)
+            self.memo[key] = self.signature, phis, None
         return out
 
     def counted(self, phi, params: Dict[str, ElemRef]) -> List[str]:
@@ -707,18 +752,40 @@ class FamilyAt:
         class, and swap any two classes of equal size.  So one class per
         distinct size is counted, the first of that size, at its first
         element; a formula without ``y`` is counted once.
+
+        The classes whose M' has the same shape (y's class cut to 1 + r,
+        the class's size cut to r, and how many classes of that cut M'
+        keeps) share the formula's truths and differ only in the weights
+        of the leaves: so the formula is charged, compiled and evaluated
+        once per shape, and each class size's count is its weights times
+        those truths (``_leaves`` and ``_weighed``, as in
+        ``_block_count``).
         """
         (phi, _), = self.conjunctions([(phi_text, None)])
         if self.family.family_id not in _EQUIV_FAMILIES:
             raise FamilyError(
                 "spectrum supported for equivalence families only")
         self.check_one_counted(phi, {"y": None})
-        classes = [0]  # without y, every parameter gives the same count
-        if "y" in _facts(phi, self.memo)[1]:
-            classes = list(self.summary.first_classes().values())
+        _, free, depths, _ = _facts(phi, self.memo)
+        if "y" not in free:  # every parameter gives the same count
+            return [self.count(phi, {}).log_value]
+        counted = self.counted(phi, {"y": None})
+        k = len(counted)
+        r = k + max(depths, default=0)
+        entries: Dict[tuple, tuple] = {}     # shape -> compiled formula
+        logs = set()
         element = self.summary.element
-        return sorted({self.count(phi, {"y": element(ci)}).log_value
-                       for ci in classes})
+        for ci in self.summary.first_classes().values():
+            params = {"y": element(ci)}
+            shape, state, fixed = _equiv_model(self.summary, params, r, k)
+            entry = entries.get(shape)
+            if entry is None:    # counted, charged and evaluated in full
+                logs.add(self.count(phi, params).log_value)
+                entries[shape] = _compiled(phi, ("E",), shape, fixed,
+                                           counted, self.memo)
+            else:
+                logs.add(Count(_weighed(entry, _leaves(state, k))).log_value)
+        return sorted(logs)
 
 
 def family_sequence(family: FamilyHandle, indices: Sequence[int],

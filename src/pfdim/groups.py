@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from operator import getitem, itemgetter
-from typing import FrozenSet, List, Sequence, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .logic import PfdimError
 
@@ -208,50 +208,60 @@ def parse_word(text: str) -> WordExpr:
             i += 3
         else:
             raise PfdimError(f"bad character in word at offset {i}: {ch!r}")
-    pos = [0]
+    return _WordParser(tokens).parse()
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
 
-    def take(tok=None):
-        t = peek()
+class _WordParser:
+    """Recursive descent over ``parse_word``'s tokens; methods rather than
+    nested closures, so a parse leaves no reference cycle behind."""
+
+    def __init__(self, tokens: List[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def parse(self) -> WordExpr:
+        e = self.term()
+        if self.pos != len(self.tokens):
+            raise PfdimError("trailing input in word")
+        return e
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, tok: Optional[str] = None) -> str:
+        t = self.peek()
         if t is None or (tok is not None and t != tok):
-            raise PfdimError(f"word syntax error near token {pos[0]}")
-        pos[0] += 1
+            raise PfdimError(f"word syntax error near token {self.pos}")
+        self.pos += 1
         return t
 
-    def factor():
-        t = take()
+    def factor(self) -> WordExpr:
+        t = self.take()
         if t in _WORD_VARS:
             e: WordExpr = WVar(_WORD_VARS.index(t) + 1)
         elif t == "(":
-            e = term()
-            take(")")
+            e = self.term()
+            self.take(")")
         elif t == "[":
-            a = term()
-            take(",")
-            b = term()
-            take("]")
+            a = self.term()
+            self.take(",")
+            b = self.term()
+            self.take("]")
             e = WMul(WMul(a, b), WMul(WInv(a), WInv(b)))
         else:
-            raise PfdimError(f"word syntax error near token {pos[0] - 1}")
-        while peek() == "^-1":
-            take()
+            raise PfdimError(f"word syntax error near token {self.pos - 1}")
+        while self.peek() == "^-1":
+            self.take()
             e = WInv(e)
         return e
 
-    def term():
-        e = factor()
-        while peek() is not None and peek() not in "),]":
-            if peek() == "*":
-                take()
-            e = WMul(e, factor())
+    def term(self) -> WordExpr:
+        e = self.factor()
+        while self.peek() is not None and self.peek() not in "),]":
+            if self.peek() == "*":
+                self.take()
+            e = WMul(e, self.factor())
         return e
-
-    e = term()
-    if pos[0] != len(tokens):
-        raise PfdimError("trailing input in word")
-    return e
 
 
 def _word_row(w: WordExpr, G: Group, args: Sequence[int], row: List[int]):

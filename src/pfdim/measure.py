@@ -183,22 +183,28 @@ def find_k_intersection(space: FiniteMeasureSpace, events: Sequence[Event],
         best = max(range(len(events)), key=measures.__getitem__)
         return Witness((best,), Fraction(measures[best], scale), bound)
     need, n = math.ceil(bound * scale), len(events)
-
-    def extend(prefix, inter, start):
-        for i in range(start, n - k + len(prefix) + 1):
-            meet = inter & masks[i]
-            value = weigh(meet)
-            if value < need:
-                continue
+    # an explicit stack, not a recursive closure, so no call leaves a
+    # reference cycle: prefix[j] is the j-th chosen event and meets[j] the
+    # intersection of the first j (-1: the empty prefix meets every atom)
+    prefix: List[int] = []
+    meets = [-1]
+    i = 0
+    while True:
+        if i > n - k + len(prefix):    # no candidate left at this depth
+            if not prefix:
+                break
+            i = prefix.pop() + 1
+            meets.pop()
+            continue
+        meet = meets[-1] & masks[i]
+        value = weigh(meet)
+        if value >= need:
             if len(prefix) + 1 == k:
-                return Witness(prefix + (i,), Fraction(value, scale), bound)
-            found = extend(prefix + (i,), meet, i + 1)
-            if found:
-                return found
-
-    witness = extend((), -1, 0)  # -1: the empty prefix meets in every atom
-    if witness:
-        return witness
+                return Witness(tuple(prefix) + (i,), Fraction(value, scale),
+                               bound)
+            prefix.append(i)
+            meets.append(meet)
+        i += 1
     if n < sufficient_events(eps, k):
         raise HypothesisError(
             f"{n} events are too few to guarantee a witness for "

@@ -208,6 +208,25 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     return sort_check(ast, sig)
 
 
+def identifiers(text: str) -> frozenset:
+    """The names in ``text`` other than keywords: every relation, function,
+    constant, variable and sort it can name."""
+    return frozenset([value for kind, value, _ in _Lexer(text).tokens
+                      if kind == "name"])
+
+
+def reads_alike(names, a: Signature, b: Signature) -> bool:
+    """Whether ``parse_formula`` gives the same result, or the same error,
+    under ``a`` and ``b`` for a text whose identifiers are ``names``: the
+    parser and the sort check read only the sorts and, for each name, its
+    relation sorts, function sorts or constant sort, so the two signatures
+    must have the same sorts and resolve each name alike, or not at all."""
+    return a is b or (a.sorts == b.sorts and all(
+        a.relations.get(n) == b.relations.get(n)
+        and a.functions.get(n) == b.functions.get(n)
+        and a.constants.get(n) == b.constants.get(n) for n in names))
+
+
 def render_term(t) -> str:
     if isinstance(t, Var):
         return t.name

@@ -366,6 +366,40 @@ def test_spectrum_matches_every_class(fid, text, index):
     assert at.spectrum(text) == every_class(at, text)
 
 
+QUANTIFIED_ATOMS = XY_ATOMS + ("E(x, z)", "E(z, y)", "z = x", "E(z, w)",
+                               "w = y", "E(w, x)")
+
+
+@st.composite
+def spectrum_cases(draw):
+    """An equivalence family at an index where every class may exceed r,
+    and a formula in x and y of quantifier rank 0-2 (so r up to 3)."""
+    fid = draw(st.sampled_from(EQUIV_IDS))
+    index = draw(st.integers(1, 24 if fid == "findelta" else 40))
+    rank = draw(st.integers(0, 2))
+    atoms = (XY_ATOMS, QUANTIFIED_ATOMS[:9], QUANTIFIED_ATOMS)[rank]
+    text = draw(formulas(atoms))
+    for var in "wz"[2 - rank:]:
+        text = f"{draw(st.sampled_from(('exists', 'forall')))} {var}:S. ({text})"
+    if draw(st.booleans()):
+        text = f"({draw(formulas(XY_ATOMS))}) & ({text})"
+    return fid, index, text
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spectrum_cases())
+@example(("earlyexample", 5, "exists z:S. (forall w:S. "
+                             "(E(z, w) -> E(x, w) | w = y))"))
+def test_spectrum_by_shape_matches_every_class(case):
+    # classes whose M' has one shape share their truths, and each count is
+    # those truths times the class's weights; at these indices every class
+    # may exceed r, and earlyexample's classes of 1 and 4 fall below 1 + r
+    fid, index, text = case
+    at = FamilyAt(get_family(fid), index)
+    assert at.spectrum(text) == every_class(at, text)
+
+
 @pytest.mark.parametrize("fid", ["findelta", "stablenonattainability"])
 def test_fallback_spectrum_matches_every_class(fid):
     # a quantified spectrum, once counted by materializing, now on the
@@ -389,7 +423,9 @@ def test_findelta_spectrum_counts_once_per_class_size(monkeypatch):
 
     monkeypatch.setattr(families, "_block_count", counting)
     logs = FamilyAt(get_family("findelta"), 64).spectrum("E(x, y)")
-    assert len(calls) == 64          # not 64 * 64 classes
+    # every class exceeds 1 + r = 2, so all 64 sizes share one shape of
+    # M', counted once; the other sizes weigh its truths
+    assert len(calls) == 1
     assert len(logs) == 64
 
 

@@ -317,6 +317,55 @@ class TestParserReuse:
         assert "unassigned free variables: ['y']" in err
 
 
+def through_top_parser(argv):
+    """What ``argparse`` makes of ``argv`` through a fresh top parser:
+    the namespace or exit code, and what it wrote."""
+    from pfdim.cli import build_parser
+    return parsed(build_parser().parse_args, argv)
+
+
+def parsed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """A known subcommand's arguments go straight to its own parser; the
+    namespace, usage text and exit code are those of the top parser."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nosuch"], ["family"], ["--help"], ["family", "--help"],
+        ["family", "--nam", "findelta", "--ind", "8", "--formula", "E(x, x)"],
+        ["family", "--name", "findelta", "--index", "8", "stray", "--bogus"],
+        ["family", "--index", "eight"], ["fam"], ["--", "family"],
+        ["chain", "--family", "earlyexample", "--indices", "2,3",
+         "--step", "E(x, y)@class-1", "--step", "x = x"],
+        ["word-image", "--group", "S3", "--word", "x*y", "--triple"]])
+    def test_same_as_the_top_parser(self, argv):
+        from pfdim.cli import _parse_args
+        assert parsed(_parse_args, argv) == through_top_parser(argv)
+
+    @pytest.mark.parametrize("argv,code", [
+        ([], 1), (["nosuch"], 1), (["family"], 1), (["--help"], 0),
+        (["family", "--help"], 0)])
+    def test_exit_codes(self, capsys, argv, code):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        _, top_out, top_err = through_top_parser(argv)
+        assert (out, err) == (top_out, top_err)
+
+    def test_an_abbreviated_option(self, capsys):
+        code, out, _ = run(capsys, "family", "--nam", "findelta", "--ind",
+                           "8", "--form", "E(x, y)", "--sel", "class-level-1")
+        assert code == 0
+        assert json.loads(out)["count"] == "8"
+
+
 # ---------------------------------------------------------------------------
 # _emit writes exactly what json.dump(..., indent=2) writes
 

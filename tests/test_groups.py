@@ -1,5 +1,6 @@
 """Group words, word images, and triple-product covering."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -59,6 +60,21 @@ class TestWords:
                 lhs = eval_word(w, G, (a, b))
                 manual = G.mul[G.mul[G.mul[a][b]][G.inv[a]]][G.inv[b]]
                 assert lhs == manual
+
+    def test_no_cyclic_garbage(self):
+        # the recursive descent once ran on nested closures that called
+        # one another, a reference cycle left behind by every parse
+        parse_word("x")
+        gc.collect()
+        gc.disable()
+        try:
+            word = parse_word("[x,y]^-1 * (z*w^-1)^-1 * [[x,z],y]")
+            with pytest.raises(PfdimError):
+                parse_word("[x,y")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert word_arity(word) == 4
 
     def test_squares_in_a5(self):
         G = builtin_group("A5")

@@ -97,9 +97,9 @@ def test_selector_parameters_cannot_collide_with_formula_variables():
 
 
 # ---------------------------------------------------------------------------
-# One request, one memo: a steps list is parsed once while the signature is
-# the same object, and a formula is compiled once per shape of the small
-# model
+# One request, one memo: a steps list is parsed once while its identifiers
+# resolve alike under each index's signature, and a formula is compiled once
+# per shape of the small model
 
 
 @pytest.fixture
@@ -149,12 +149,45 @@ def test_a_request_walks_each_formula_once(monkeypatch):
 
 
 def test_a_new_signature_is_parsed_again(calls):
+    # a signature per index, but P1 and S read alike in all three, so the
+    # parse from index 2 stands at 3 and 4
     family = get_family("convsupersimple")
     chain_detect(family, [("P1(x)", None)], [2, 3, 4])
-    assert calls["parse_formula"] == 3
+    assert calls["parse_formula"] == 1
     # P8 is not a relation at index 4, so no parse from index 8 can stand
     with pytest.raises(ParseDiagnostic, match=r"^index 4: 1:1: unknown"):
         chain_detect(family, [("P8(x)", None)], [8, 4])
+
+
+CONVSUPERSIMPLE_STEPS = [("P1(x) | x = x", None), ("P1(x)", None),
+                         ("exists z:S. P2(z) & !(z = x)", None),
+                         ("forall z:S. P2(z) -> P1(x) & P2(x)", None)]
+
+
+def test_a_convsupersimple_chain_parses_each_step_once(calls):
+    # a new signature at every index, but each name in the steps reads
+    # alike in all of them
+    family = get_family("convsupersimple")
+    indices = list(range(2, 9))
+    report = chain_detect(family, CONVSUPERSIMPLE_STEPS, indices)
+    assert calls["parse_formula"] == len(CONVSUPERSIMPLE_STEPS)
+    fresh = []
+    for n in indices:
+        at = FamilyAt(family, n)
+        fresh.append([at.count(phi, params).log_value
+                      for phi, params in at.conjunctions(
+                          CONVSUPERSIMPLE_STEPS)])
+    assert report.log_counts == tuple(zip(*fresh))
+
+
+def test_a_name_that_becomes_a_relation_is_parsed_again(capsys):
+    # P3 is a bound variable at index 2 and a relation at index 3, where
+    # the fresh parse fails as it always did
+    code = main(["chain", "--family", "convsupersimple", "--indices", "2,3",
+                 "--step", "exists P3:S. P1(x) & !(x = P3)"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "parse error: index 3: 1:28: relation P3 used as a term\n")
 
 
 def test_one_memo_per_request():

@@ -1,5 +1,6 @@
 """Finite measure spaces and intersection bounds."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -96,6 +97,24 @@ class TestIntersectionTheorems:
                 if w is not None:
                     assert len(w.indices) == k
                     assert w.measure >= w.bound
+
+    def test_no_cyclic_garbage(self):
+        # the depth-first search was a recursive closure, a reference
+        # cycle left behind by every search
+        space = uniform_space(8)
+        events = [frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5}),
+                  frozenset({0, 2, 4, 6}), frozenset({1, 2, 3, 7}),
+                  frozenset({2, 5, 6, 7})]
+        find_k_intersection(space, events, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            found = [find_k_intersection(space, events, k).indices
+                     for k in (1, 2, 3)]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert found == [(0,), (0, 1), (0, 1, 2)]
 
     def test_pairwise_check_on_uniform_space(self):
         eps = Fraction(1, 3)
