@@ -312,35 +312,33 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _cmd_measure_kcap(args) -> int:
-    space, events = _load_space(args.space)
+def _witness(key: str, search, space, events, arg) -> int:
+    """Emit ``search(space, events, arg)``'s witness, its events under
+    ``key``; a failed search other than a refused hypothesis is a
+    ``violation`` with exit 2."""
     try:
-        witness = measure.find_k_intersection(space, events, args.k)
+        witness = search(space, events, arg)
     except measure.HypothesisError:
         raise
     except measure.MeasureError as exc:
         _emit({"violation": str(exc)})
         return 2
-    _emit({"indices": list(witness.indices),
+    _emit({key: list(witness.indices),
            "measure": _frac_str(witness.measure),
            "bound": _frac_str(witness.bound)})
     return 0
+
+
+def _cmd_measure_kcap(args) -> int:
+    space, events = _load_space(args.space)
+    return _witness("indices", measure.find_k_intersection, space, events,
+                    args.k)
 
 
 def _cmd_pairwise_check(args) -> int:
     space, events = _load_space(args.space)
-    eps = _parse_fraction(args.eps)
-    try:
-        witness = measure.pairwise_threshold_check(space, events, eps)
-    except measure.HypothesisError:
-        raise
-    except measure.MeasureError as exc:
-        _emit({"violation": str(exc)})
-        return 2
-    _emit({"pair": list(witness.indices),
-           "measure": _frac_str(witness.measure),
-           "bound": _frac_str(witness.bound)})
-    return 0
+    return _witness("pair", measure.pairwise_threshold_check, space, events,
+                    _parse_fraction(args.eps))
 
 
 def _cmd_word_image(args) -> int:

@@ -58,14 +58,15 @@ def _json_float(x: float):
 
 
 def delta_compare(X: CardinalitySequence, Y: CardinalitySequence,
-                  tau: float = TAU_DEFAULT,
-                  burn_in: Optional[int] = None) -> DeltaVerdict:
+                  tau: float = TAU_DEFAULT) -> DeltaVerdict:
     """Classify the growth of |X_n| against |Y_n|.
 
     'equal' when the tail log-ratios all stay within tau; 'greater'/'less'
     when the tail log-ratio moves strictly monotonically with total rise at
     least ln(3/2), or has already crossed tau — a bounded ratio can do
     neither.  Anything else is 'undetermined'.  Zero counts enter as -inf.
+    The tail is the second half of the indices (``burn_in``, the first
+    half, is skipped).
     """
     if X.indices != Y.indices:
         raise DimensionError("sequences sample different indices")
@@ -77,7 +78,7 @@ def delta_compare(X: CardinalitySequence, Y: CardinalitySequence,
             ratios.append(float("inf"))
         else:
             ratios.append(lx - ly)
-    i0 = len(ratios) // 2 if burn_in is None else burn_in
+    i0 = len(ratios) // 2
     verdict = _classify(ratios, i0, tau)
     return DeltaVerdict(verdict, tuple(ratios), tuple(X.indices), tau, i0)
 
@@ -131,8 +132,7 @@ class ChainReport:
 def chain_detect(family: FamilyHandle,
                  steps: Sequence[Tuple[str, Optional[str]]],
                  indices: Sequence[int],
-                 tau: float = TAU_DEFAULT,
-                 burn_in: Optional[int] = None) -> ChainReport:
+                 tau: float = TAU_DEFAULT) -> ChainReport:
     """Sizes of the nested conjunctions of the given instance steps at the
     sorted distinct indices, and the longest prefix along which each step
     strictly drops the dimension (consecutive 'greater' verdicts).  A zero
@@ -154,7 +154,7 @@ def chain_detect(family: FamilyHandle,
     seqs = [CardinalitySequence(family.family_id, text, selector,
                                 tuple([(n, row[j]) for n, row in points]))
             for j, (text, selector) in enumerate(steps)]
-    verdicts = [delta_compare(a, b, tau, burn_in).classification
+    verdicts = [delta_compare(a, b, tau).classification
                 for a, b in zip(seqs, seqs[1:])]
     drop = 1
     for seq, v in zip(seqs[1:], verdicts):
@@ -221,21 +221,14 @@ def fmv_spectrum(family: FamilyHandle, phi_text: str,
 # export
 
 
-def export_csv(report, path: str) -> None:
-    """(index, series, log-count) rows for plotting."""
+def export_csv(report: SpectrumReport, path: str) -> None:
+    """A spectrum's (index, series, log-count) rows for plotting, series k
+    being the k-th distinct log-count at that index."""
+    if not isinstance(report, SpectrumReport):
+        raise DimensionError(f"cannot export {type(report).__name__}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "series", "logCount"])
-        if isinstance(report, SpectrumReport):
-            for n, row in zip(report.indices, report.log_counts):
-                for k, v in enumerate(row):
-                    writer.writerow([n, k, v])
-        elif isinstance(report, ChainReport):
-            for step, row in enumerate(report.log_counts, start=1):
-                for n, v in zip(report.indices, row):
-                    writer.writerow([n, step, v])
-        elif isinstance(report, DeltaVerdict):
-            for n, v in zip(report.indices, report.log_ratios):
-                writer.writerow([n, "logRatio", v])
-        else:
-            raise DimensionError(f"cannot export {type(report).__name__}")
+        for n, row in zip(report.indices, report.log_counts):
+            for k, v in enumerate(row):
+                writer.writerow([n, k, v])

@@ -33,9 +33,9 @@ M': the ``FamilyAt``s of one ``family_sequence`` call share one memo, which
 keeps the parsed steps (a parse stands at every index whose signature
 resolves the texts' names alike), each formula's free variables and binder
 depths, and per shape the compiled formula and its truth at each type.
-The shape stops depending on n once every class size exceeds r, and a
-spectrum evaluates the formula once per shape, weighing the same truths
-for every class size of that shape.
+The shape stops depending on n once every class size exceeds r.  A
+spectrum is one such count per class size, and the class sizes whose M'
+has one shape share that shape's compiled formula and truths.
 """
 
 from __future__ import annotations
@@ -577,54 +577,24 @@ def _leaves(state, k: int):
             for reps, weight, last in _types(state, k) for e, w in last)
 
 
-def _compiled(phi, names: Tuple[str, ...], shape: tuple,
-              fixed: Dict[str, int], counted: List[str], memo: dict):
-    """``(phi, test, env, first, truths)``: ``phi`` compiled once per
-    ``memo`` on M' of ``shape``, the parameters fixed and the counted
-    variables as the slots from ``first`` on, and its truth at each leaf
-    evaluated so far.  The entry keeps phi, so its id is not reused while
-    the memo lives."""
-    key = ("model", id(phi), shape, tuple(fixed.items()), tuple(counted))
-    entry = memo.get(key)
-    if entry is None:
-        test, env, _ = compile_formula(
-            phi, _small_structure(names, shape),
-            {**fixed, **dict.fromkeys(counted, 0)})
-        entry = memo[key] = (phi, test, env, len(fixed), {})
-    return entry
-
-
-def _weighed(entry, typed) -> int:
-    """The sum of the weights of the ``(leaf, weight)`` pairs ``typed``
-    whose leaf satisfies the compiled formula ``entry``: truths times
-    weights, each leaf evaluated once per entry."""
-    _, test, env, first, truths = entry
-    total = 0
-    for leaf, weight in typed:
-        truth = truths.get(leaf)
-        if truth is None:
-            env[first:first + len(leaf)] = leaf
-            truth = truths[leaf] = test(env)
-        if truth:
-            total += weight
-    return total
-
-
-def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
-                 counted: List[str], memo: Optional[dict] = None,
+def _block_count(summary, phi, params: Dict[str, ElemRef],
+                 memo: Optional[dict] = None,
                  budget: Optional[int] = None) -> Count:
-    """The exact count of ``phi`` over its ``counted`` variables (its free
-    variables outside ``params``) on the family, by types on the small
-    model M'; parameters not free in ``phi`` are dropped first.  The count
-    charges its type leaves times one plus the quantifier-loop visits per
-    evaluation against ``budget`` (default ``PFDIM_BUDGET``, read once per
-    ``memo``) before it evaluates, and raises ``FamilyError`` "budget
-    exceeded" when that is over.  ``memo`` keeps, per formula and shape of
-    M', the compiled formula and its truth at each type."""
+    """The exact count of ``phi`` over its counted variables (its free
+    variables outside ``params``, in free-variable order) on the family,
+    by types on the small model M'; parameters not free in ``phi`` are
+    dropped first.  The count charges its type leaves times one plus the
+    quantifier-loop visits per evaluation against ``budget`` (default
+    ``PFDIM_BUDGET``, read once per ``memo``) before it evaluates, and
+    raises ``FamilyError`` "budget exceeded" when that is over.  ``memo``
+    keeps, per formula and shape of M', the compiled formula and its truth
+    at each type, so counts whose M' has one shape (a spectrum's class
+    sizes, once every size exceeds r) evaluate each type once."""
     memo = {} if memo is None else memo
     _, free, depths, names = _facts(phi, memo)
+    counted = [n for n in free if n not in params]
     k = len(counted)
-    r = k + max(depths, default=0)
+    r = k + (max(depths) if depths else 0)
     params = {v: ref for v, ref in params.items() if v in free}
     if isinstance(summary, EquivSummary):
         names = ("E",)
@@ -653,8 +623,26 @@ def _block_count(summary, sig: Signature, phi, params: Dict[str, ElemRef],
         raise FamilyError(
             f"count could take at least {leaves * steps} steps, type "
             f"leaves times quantifier visits (budget exceeded)")
-    return Count(_weighed(_compiled(phi, names, shape, fixed, counted, memo),
-                          typed))
+    # the entry keeps phi, so its id is not reused while the memo lives
+    key = ("model", id(phi), shape, tuple(fixed.items()), tuple(counted))
+    entry = memo.get(key)
+    if entry is None:
+        # the counted variables are slots too, set to each leaf in turn
+        test, env, _ = compile_formula(
+            phi, _small_structure(names, shape),
+            {**fixed, **dict.fromkeys(counted, 0)})
+        entry = memo[key] = (phi, test, env, {})
+    _, test, env, truths = entry
+    first = len(fixed)
+    total = 0
+    for leaf, weight in typed:
+        truth = truths.get(leaf)
+        if truth is None:
+            env[first:first + k] = leaf
+            truth = truths[leaf] = test(env)
+        if truth:
+            total += weight
+    return Count(total)
 
 
 class FamilyAt:
@@ -739,8 +727,7 @@ class FamilyAt:
               budget: Optional[int] = None) -> Count:
         """Exact |phi(M_index, params)| on the small model
         (``_block_count``) under ``budget``."""
-        return _block_count(self.summary, self.signature, phi, params,
-                            self.counted(phi, params), self.memo, budget)
+        return _block_count(self.summary, phi, params, self.memo, budget)
 
     def spectrum(self, phi_text: str) -> List[float]:
         """Sorted distinct log-counts of {phi(x, b) : b in universe}.
@@ -750,42 +737,19 @@ class FamilyAt:
         automorphisms of the structure, and on these families (only ``E``)
         an automorphism can move any element to any other element of its
         class, and swap any two classes of equal size.  So one class per
-        distinct size is counted, the first of that size, at its first
-        element; a formula without ``y`` is counted once.
-
-        The classes whose M' has the same shape (y's class cut to 1 + r,
-        the class's size cut to r, and how many classes of that cut M'
-        keeps) share the formula's truths and differ only in the weights
-        of the leaves: so the formula is charged, compiled and evaluated
-        once per shape, and each class size's count is its weights times
-        those truths (``_leaves`` and ``_weighed``, as in
-        ``_block_count``).
+        distinct size is counted by ``count``, the first of that size, at
+        its first element; a formula without ``y`` is counted once.
         """
         (phi, _), = self.conjunctions([(phi_text, None)])
         if self.family.family_id not in _EQUIV_FAMILIES:
             raise FamilyError(
                 "spectrum supported for equivalence families only")
         self.check_one_counted(phi, {"y": None})
-        _, free, depths, _ = _facts(phi, self.memo)
-        if "y" not in free:  # every parameter gives the same count
+        if "y" not in _facts(phi, self.memo)[1]:  # one count for every b
             return [self.count(phi, {}).log_value]
-        counted = self.counted(phi, {"y": None})
-        k = len(counted)
-        r = k + max(depths, default=0)
-        entries: Dict[tuple, tuple] = {}     # shape -> compiled formula
-        logs = set()
         element = self.summary.element
-        for ci in self.summary.first_classes().values():
-            params = {"y": element(ci)}
-            shape, state, fixed = _equiv_model(self.summary, params, r, k)
-            entry = entries.get(shape)
-            if entry is None:    # counted, charged and evaluated in full
-                logs.add(self.count(phi, params).log_value)
-                entries[shape] = _compiled(phi, ("E",), shape, fixed,
-                                           counted, self.memo)
-            else:
-                logs.add(Count(_weighed(entry, _leaves(state, k))).log_value)
-        return sorted(logs)
+        return sorted({self.count(phi, {"y": element(ci)}).log_value
+                       for ci in self.summary.first_classes().values()})
 
 
 def family_sequence(family: FamilyHandle, indices: Sequence[int],

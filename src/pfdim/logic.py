@@ -469,9 +469,8 @@ def structure_from_json_dict(data: dict) -> FiniteStructure:
     """
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
-    for key in ("sorts",):
-        if key not in data:
-            raise SchemaError(f"missing key: {key}")
+    if "sorts" not in data:
+        raise SchemaError("missing key: sorts")
     try:
         sorts = [(_json_name(d["name"]), _json_int(d["size"]))
                  for d in data["sorts"]]

@@ -145,7 +145,7 @@ class _Parser:
             if skind != "name":
                 raise self.lx.diag_at(soff, "expected sort name")
             self.lx.expect(".")
-            body = self.unary_or_quantified_scope()
+            body = self.formula()    # the scope extends maximally right
             cls = Forall if val == "forall" else Exists
             return cls(vname, sname, body)
         if val == "(":
@@ -154,10 +154,6 @@ class _Parser:
             self.lx.expect(")")
             return f
         return self.atom()
-
-    def unary_or_quantified_scope(self) -> Formula:
-        # quantifier scope extends maximally right
-        return self.formula()
 
     def atom(self) -> Formula:
         kind, val, off = self.lx.peek()

@@ -110,7 +110,6 @@ class VFPolynomial:
 
 
 ZERO = VFPolynomial(())
-ONE = VFPolynomial.constant(1)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_block_route_matches_engine(case):
     fixed = {k: v.global_id for k, v in params.items() if k in free}
     counted = [n for n in free if n not in fixed]
     at = FamilyAt(family, index)
-    agg = _block_count(at.summary, at.signature, phi, params, counted)
+    agg = _block_count(at.summary, phi, params)
     try:
         expected = count(phi, materialized(fid, index), fixed, counted,
                          budget=10 * ENUMERATION_WORK)
@@ -258,7 +258,7 @@ def test_small_model_matches_engine(case):
     # sibling binders add their visits; no case is refused
     expected = count(phi, materialized(fid, index), fixed, counted,
                      budget=10 ** 12)
-    got = _block_count(at.summary, at.signature, phi, params, counted)
+    got = _block_count(at.summary, phi, params)
     assert got == expected
     assert at.count(phi, params) == expected
 
@@ -414,18 +414,28 @@ def test_fallback_spectrum_matches_every_class(fid):
 
 
 def test_findelta_spectrum_counts_once_per_class_size(monkeypatch):
-    calls = []
-    block_count = families._block_count
+    compiles = []
+    evaluations = []
+    compile_formula = families.compile_formula
 
-    def counting(*args):
-        calls.append(args)
-        return block_count(*args)
+    def compiling(*args):
+        test, env, rest = compile_formula(*args)
+        compiles.append(args)
 
-    monkeypatch.setattr(families, "_block_count", counting)
+        def evaluating(env):
+            evaluations.append(tuple(env))
+            return test(env)
+
+        return evaluating, env, rest
+
+    monkeypatch.setattr(families, "compile_formula", compiling)
     logs = FamilyAt(get_family("findelta"), 64).spectrum("E(x, y)")
     # every class exceeds 1 + r = 2, so all 64 sizes share one shape of
-    # M', counted once; the other sizes weigh its truths
-    assert len(calls) == 1
+    # M': the formula is compiled once and evaluated at its three type
+    # leaves (y, another element of y's class, an element of another
+    # class), which every other size weighs again
+    assert len(compiles) == 1
+    assert len(evaluations) == 3
     assert len(logs) == 64
 
 

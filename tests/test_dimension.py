@@ -39,6 +39,13 @@ class TestDeltaCompare:
         Y = seq([1000, 1, 1000, 1, 1000, 1, 1000, 1])
         assert delta_compare(X, Y).classification == "undetermined"
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_burn_in_is_the_first_half(self, n):
+        X = seq([2 ** k for k in range(n)])
+        data = delta_compare(X, seq([1] * n)).to_json_dict()
+        assert len(data["indices"]) == n
+        assert data["burnIn"] == n // 2
+
     def test_zero_counts_give_infinite_ratio(self):
         X = seq([4, 8, 16, 32])
         Y = seq([0, 0, 0, 0])
@@ -136,3 +143,11 @@ class TestExports:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 4 + 6  # header plus one row per log-count
+
+    def test_csv_refuses_a_chain(self, tmp_path):
+        report = chain_detect(get_family("findelta"),
+                              [("E(x, x)", None)], [4, 6])
+        path = tmp_path / "chain.csv"
+        with pytest.raises(DimensionError, match="cannot export ChainReport"):
+            export_csv(report, str(path))
+        assert not path.exists()

@@ -147,7 +147,7 @@ class TestAggregateCounting:
             M = generate(fid, idx)
             fixed = {k: v.global_id for k, v in params.items()}
             counted = [n for n, _ in free_variables(phi) if n not in fixed]
-            agg = _block_count(at.summary, at.signature, phi, params, counted)
+            agg = _block_count(at.summary, phi, params)
             assert not isinstance(agg, str)
             assert agg.value == count(phi, M, fixed, counted).value
 
