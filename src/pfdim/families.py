@@ -699,7 +699,10 @@ class FamilyAt:
         params: Dict[str, ElemRef] = {}
         for j, (text, selector) in enumerate(steps, start=1):
             if fresh:
-                phi = parse_formula(text, self.signature)
+                # a prefix conjunction puts step j under one And per later
+                # step (and the first step under as many as the second)
+                phi = parse_formula(text, self.signature,
+                                    len(steps) - max(j, 2) + 1)
                 if selector:
                     phi = rename_free(phi, "y", f"y#{j}")
                 phis.append(And(phis[-1], phi) if phis else phi)

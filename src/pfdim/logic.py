@@ -28,7 +28,8 @@ class StructureError(PfdimError):
 
 class SortError(PfdimError):
     """Sort-check diagnostic.  ``kind`` is one of 'unknown-symbol',
-    'arity-mismatch', 'sort-mismatch'."""
+    'arity-mismatch', 'sort-mismatch'; ``node`` is the offending node as
+    written (None for a binder the parser read, whose body was unread)."""
 
     def __init__(self, kind: str, node, message: str):
         super().__init__(message)
@@ -232,96 +233,133 @@ def rename_free(phi: Formula, old: str, new: str) -> Formula:
     return out
 
 
+# The sort rules, shared by ``sort_check`` and the parser.  ``bound`` and
+# ``inferred`` map a variable's name to its annotated ``Var``, which later
+# occurrences share; the parser hands a bare variable over as its name.
+
+_UNSORTED = Var("", None)
+
+
+def _raw(t):
+    return Var(t) if isinstance(t, str) else t
+
+
+def _term_sort(t, expected, bound, inferred, sig):
+    """``(t annotated, its sort)``.  A variable's sort is the bound one, else
+    the one inferred, else its annotation, else ``expected``."""
+    if isinstance(t, str):
+        name, sort = t, None
+    elif isinstance(t, Var):
+        name, sort = t.name, t.sort
+    elif isinstance(t, Const):
+        if t.name not in sig.constants:
+            raise SortError("unknown-symbol", t, f"unknown constant {t.name}")
+        s = sig.constants[t.name]
+        if expected is not None and s != expected:
+            raise SortError(
+                "sort-mismatch", t,
+                f"constant {t.name} has sort {s}, expected {expected}")
+        return t, s
+    elif isinstance(t, App):
+        if t.func not in sig.functions:
+            raise SortError("unknown-symbol", t, f"unknown function {t.func}")
+        arg_sorts, res = sig.functions[t.func]
+        if len(t.args) != len(arg_sorts):
+            raise SortError(
+                "arity-mismatch", t,
+                f"function {t.func} expects {len(arg_sorts)} args, got {len(t.args)}")
+        args = tuple([_term_sort(a, s, bound, inferred, sig)[0]
+                      for a, s in zip(t.args, arg_sorts)])
+        if expected is not None and res != expected:
+            raise SortError(
+                "sort-mismatch", t,
+                f"term {t.func}(...) has sort {res}, expected {expected}")
+        return App(t.func, args), res
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    var = bound.get(name) or inferred.get(name)
+    declared = sort if var is None else var.sort
+    if declared is None:
+        # expected None is an equality's first look at its sides: the
+        # variable is marked seen, sort unknown, and no formula gets the mark
+        var = inferred[name] = (_UNSORTED if expected is None
+                                else Var(name, expected))
+        return var, expected
+    if expected is not None and declared != expected:
+        raise SortError(
+            "sort-mismatch", Var(name, sort),
+            f"variable {name} has sort {declared}, expected {expected}")
+    if var is None:
+        var = inferred[name] = Var(name, declared)
+    return var, declared
+
+
+def _rel_sort(name, args, bound, inferred, sig) -> Rel:
+    """A relation atom, each argument at the sort of its place."""
+    arg_sorts = sig.relations.get(name)
+    if arg_sorts is None or len(args) != len(arg_sorts):
+        node = Rel(name, tuple(map(_raw, args)))
+        if arg_sorts is None:
+            raise SortError("unknown-symbol", node, f"unknown relation {name}")
+        raise SortError(
+            "arity-mismatch", node,
+            f"relation {name} expects {len(arg_sorts)} args, got {len(args)}")
+    out = []
+    for a, s in zip(args, arg_sorts):
+        out.append(_term_sort(a, s, bound, inferred, sig)[0])
+    return Rel(name, tuple(out))
+
+
+def _eq_sort(left, right, bound, inferred, sig) -> Eq:
+    """An equality, both sides at the sort of the left side if it has one,
+    else of the right, else the only sort."""
+    first, s = _term_sort(left, None, bound, inferred, sig)
+    if s is None:
+        s = _term_sort(right, None, bound, inferred, sig)[1]
+        if s is None and len(sig.sorts) == 1:
+            s = sig.sorts[0]
+        if s is None:
+            raise SortError("sort-mismatch", Eq(_raw(left), _raw(right)),
+                            "cannot infer sort of equality")
+        first = _term_sort(left, s, bound, inferred, sig)[0]
+    # a second look at a side of known sort finds the same
+    return Eq(first, _term_sort(right, s, bound, inferred, sig)[0])
+
+
+def _scope(var, sort, bound, sig, node=None) -> dict:
+    """The bound variables of a binder's body."""
+    if sort not in sig.sorts:
+        raise SortError("unknown-symbol", node, f"unknown sort {sort}")
+    return {**bound, var: Var(var, sort)}
+
+
 def sort_check(phi: Formula, sig: Signature) -> Formula:
     """Check ``phi`` against ``sig`` and return a fully sort-annotated copy.
 
     Free-variable sorts are inferred from the first atom position in which
     the variable occurs.  Raises :class:`SortError` with kind
     'unknown-symbol', 'arity-mismatch', or 'sort-mismatch' on the first
-    offending node.
+    offending node.  ``parser.parse_formula`` applies the same rules to
+    each atom as it reads it; this walk is for a hand-built AST.
     """
     inferred: dict = {}
 
-    def term(t, expected, bound):
-        if isinstance(t, Var):
-            declared = bound.get(t.name, inferred.get(t.name, t.sort))
-            if declared is None:
-                inferred[t.name] = expected
-                return Var(t.name, expected), expected
-            if expected is not None and declared != expected:
-                raise SortError(
-                    "sort-mismatch", t,
-                    f"variable {t.name} has sort {declared}, expected {expected}")
-            if t.name not in bound:
-                inferred[t.name] = declared
-            return Var(t.name, declared), declared
-        if isinstance(t, Const):
-            if t.name not in sig.constants:
-                raise SortError("unknown-symbol", t, f"unknown constant {t.name}")
-            s = sig.constants[t.name]
-            if expected is not None and s != expected:
-                raise SortError(
-                    "sort-mismatch", t,
-                    f"constant {t.name} has sort {s}, expected {expected}")
-            return t, s
-        if isinstance(t, App):
-            if t.func not in sig.functions:
-                raise SortError("unknown-symbol", t, f"unknown function {t.func}")
-            arg_sorts, res = sig.functions[t.func]
-            if len(t.args) != len(arg_sorts):
-                raise SortError(
-                    "arity-mismatch", t,
-                    f"function {t.func} expects {len(arg_sorts)} args, got {len(t.args)}")
-            new_args = tuple(term(a, s, bound)[0] for a, s in zip(t.args, arg_sorts))
-            if expected is not None and res != expected:
-                raise SortError(
-                    "sort-mismatch", t,
-                    f"term {t.func}(...) has sort {res}, expected {expected}")
-            return App(t.func, new_args), res
-        raise TypeError(f"not a term: {t!r}")
-
     def walk(f, bound):
         if isinstance(f, Rel):
-            if f.name not in sig.relations:
-                raise SortError("unknown-symbol", f, f"unknown relation {f.name}")
-            arg_sorts = sig.relations[f.name]
-            if len(f.args) != len(arg_sorts):
-                raise SortError(
-                    "arity-mismatch", f,
-                    f"relation {f.name} expects {len(arg_sorts)} args, got {len(f.args)}")
-            return Rel(f.name, tuple(term(a, s, bound)[0]
-                                     for a, s in zip(f.args, arg_sorts)))
+            return _rel_sort(f.name, f.args, bound, inferred, sig)
         if isinstance(f, Eq):
-            # infer a common sort: try left first, then right, then annotate
-            # both sides with it
-            _, s = term(f.left, None, bound)
-            if s is None:
-                _, s = term(f.right, None, bound)
-                if s is None and len(sig.sorts) == 1:
-                    s = sig.sorts[0]
-                if s is None:
-                    raise SortError("sort-mismatch", f,
-                                    "cannot infer sort of equality")
-            left, _ = term(f.left, s, bound)
-            right, _ = term(f.right, s, bound)
-            return Eq(left, right)
+            return _eq_sort(f.left, f.right, bound, inferred, sig)
         if isinstance(f, Not):
             return Not(walk(f.body, bound))
-        if isinstance(f, And):
-            return And(walk(f.left, bound), walk(f.right, bound))
-        if isinstance(f, Or):
-            return Or(walk(f.left, bound), walk(f.right, bound))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left, bound), walk(f.right, bound))
+        if isinstance(f, _BINARY):
+            return type(f)(walk(f.left, bound), walk(f.right, bound))
         if isinstance(f, _QUANT):
-            if f.sort not in sig.sorts:
-                raise SortError("unknown-symbol", f, f"unknown sort {f.sort}")
-            body = walk(f.body, {**bound, f.var: f.sort})
+            body = walk(f.body, _scope(f.var, f.sort, bound, sig, f))
             return type(f)(f.var, f.sort, body)
         raise TypeError(f"not a formula node: {f!r}")
 
     out = walk(phi, {})
-    del walk, term
+    del walk
     return out
 
 

@@ -11,6 +11,7 @@ from pfdim.cli import main
 from pfdim.families import (FamilyError, MAX_SUMMARY_BITS, family_summary,
                             get_family, list_families)
 from pfdim.groups import CYCLIC_ORDER_LIMIT
+from pfdim.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -229,6 +230,28 @@ class TestConstantWithArguments:
         assert "1:1: constant c takes no arguments" in err
 
 
+class TestRelationNamedLikeAToken:
+    """A structure file may name a relation "" or "=": the name is never
+    read in place of the end of the text or of a symbol."""
+
+    @pytest.mark.parametrize("name", ["", "=", ")", "&"])
+    @pytest.mark.parametrize("formula,message", [
+        ("", "1:1: expected atom, found 'end of input'"),
+        ("x = y &", "1:8: expected atom, found 'end of input'"),
+        ("=(x)", "1:1: expected atom, found '='"),
+        ("x = x & )(x)", "1:9: expected atom, found ')'"),
+    ])
+    def test_parse_error(self, capsys, tmp_path, name, formula, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "sorts": [{"name": "S", "size": 2}],
+            "relations": [{"name": name, "sorts": ["S"], "tuples": [[0]]}]}))
+        code, out, err = run(capsys, "count", "--structure", str(path),
+                             "--formula", formula, "--count-vars", "x")
+        assert (code, out) == (1, "")
+        assert err == f"parse error: {message} (expected relation, term)\n"
+
+
 class TestRepeatedFix:
     """A variable fixed twice is refused, not counted at its last value."""
 
@@ -379,3 +402,109 @@ def test_class_rank_above_the_index_is_absent(capsys, index, rank):
                          "--selector", f"class-rank-{rank}")
     assert (code, out) == (1, "")
     assert f"class rank {rank} absent at index {index}" in err
+
+
+class TestNestingBound:
+    """A formula may nest ``MAX_NESTING`` deep: parentheses, ``!``,
+    binders, each connective of a chain, function applications and the
+    conjunction of chain steps all count.  One level more is a parse error
+    at the construct that crosses the bound, never a RecursionError."""
+
+    N = MAX_NESTING
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        # one element, so nested binders stay within the budget
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({
+            "sorts": [{"name": "S", "size": 1}],
+            "relations": [{"name": "E", "sorts": ["S", "S"],
+                           "tuples": [[0, 0]]}]}))
+        cycle = tmp_path / "cycle.json"
+        cycle.write_text(json.dumps({
+            "sorts": [{"name": "S", "size": 3}],
+            "relations": [{"name": "E", "sorts": ["S", "S"],
+                           "tuples": [[0, 1], [1, 2]]}],
+            "functions": [{"name": "f", "argSorts": ["S"], "resultSort": "S",
+                           "table": [[0, 1], [1, 2], [2, 0]]}]}))
+        return {"one": str(one), "cycle": str(cycle)}
+
+    FAMILY = ["family", "--name", "findelta", "--index", "8",
+              "--selector", "class-level-1", "--formula"]
+
+    @staticmethod
+    def chain(op, n):
+        return f" {op} ".join(["E(x, y)"] * (n + 1))
+
+    SHAPES = {
+        "parentheses": lambda n: "(" * n + "E(x, y)" + ")" * n,
+        "negations": lambda n: "!" * n + "E(x, y)",
+        "conjunction": lambda n: TestNestingBound.chain("&", n),
+        "disjunction": lambda n: TestNestingBound.chain("|", n),
+        "implication": lambda n: TestNestingBound.chain("->", n),
+        "mixed": lambda n: ("(" * (n // 4) + "!" * (n // 4)
+                            + TestNestingBound.chain("&", n - n // 2)
+                            + ")" * (n // 4)),
+    }
+
+    def argv(self, shape, n, files):
+        if shape == "binders":
+            return ["count", "--structure", files["one"], "--count-vars",
+                    "x,y", "--formula", "exists z:S. " * n + "E(x, y)"]
+        if shape == "functions":
+            return ["count", "--structure", files["cycle"], "--count-vars",
+                    "x,y", "--formula", "f(" * n + "x" + ")" * n + " = y"]
+        if shape == "chain steps":
+            return (["chain", "--family", "findelta", "--indices", "8,9,10,11"]
+                    + ["--step", "E(x, y)@class-level-1"] * (n + 1))
+        return self.FAMILY + [self.SHAPES[shape](n)]
+
+    ALL = sorted(SHAPES) + ["binders", "functions", "chain steps"]
+
+    @pytest.mark.parametrize("shape", ALL)
+    def test_at_the_bound_counts(self, capsys, files, shape):
+        code, out, err = run(capsys, *self.argv(shape, self.N, files))
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+    @pytest.mark.parametrize("shape", ALL)
+    def test_past_the_bound_is_a_parse_error(self, capsys, files, shape):
+        code, out, err = run(capsys, *self.argv(shape, self.N + 1, files))
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: ")
+        assert f"formula nested deeper than {self.N} levels" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("shape, where", [
+        ("parentheses", f"1:{MAX_NESTING + 1}"),
+        ("negations", f"1:{MAX_NESTING + 1}"),
+        ("conjunction", f"1:{10 * MAX_NESTING + 9}"),
+        ("chain steps", "index 8: 1:1")])
+    def test_reported_where_the_bound_is_crossed(self, capsys, files, shape,
+                                                 where):
+        code, _, err = run(capsys, *self.argv(shape, self.N + 1, files))
+        assert code == 1
+        assert err == (f"parse error: {where}: formula nested deeper than "
+                       f"{self.N} levels\n")
+
+    @pytest.mark.parametrize("argv", [
+        FAMILY + ["(" * 250 + "E(x, y)" + ")" * 250],
+        FAMILY + ["!" * 1000 + "E(x, y)"],
+        FAMILY + [" & ".join(["E(x, y)"] * 1000)],
+        ["chain", "--family", "findelta", "--indices", "8,9,10,11"]
+        + ["--step", "E(x, y)@class-level-1"] * 1000,
+        ["spectrum", "--family", "findelta", "--indices", "8", "--formula",
+         "exists z:S. " * 400 + "E(x, y)"],
+    ], ids=["250-parentheses", "1000-negations", "1000-atoms", "1000-steps",
+            "400-binders"])
+    def test_far_past_the_bound(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: ")
+
+    def test_count_of_a_2000_atom_disjunction(self, capsys, files):
+        code, out, err = run(capsys, "count", "--structure", files["one"],
+                             "--count-vars", "x,y", "--formula",
+                             " | ".join(["E(x, y)"] * 2000))
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: ")

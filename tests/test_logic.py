@@ -56,6 +56,15 @@ class TestSortCheck:
         with pytest.raises(SortError):
             sort_check(phi, sig2)
 
+    def test_annotation_after_an_unsorted_first_look(self):
+        # the left side's first look marks x seen, sort unknown, so the
+        # annotation on the right does not decide the equality's sort
+        sig2 = make_signature(["A", "B"])
+        assert sort_check(Eq(Var("y"), Var("x", "A")), sig2) == Eq(
+            Var("y", "A"), Var("x", "A"))
+        with pytest.raises(SortError, match="cannot infer sort of equality"):
+            sort_check(Eq(Var("x"), Var("x", "A")), sig2)
+
 
 class TestEvaluate:
     M = path_structure(5)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from pfdim.families import make_vector_space
 from pfdim.logic import (And, App, Const, Eq, Exists, Forall, Implies, Not,
                          Or, Rel, SortError, Var, make_signature)
-from pfdim.parser import ParseDiagnostic, parse_formula, render_formula
+from pfdim.parser import (ParseDiagnostic, identifiers, parse_formula,
+                          render_formula)
 
 
 SIG = make_signature(
@@ -126,3 +127,22 @@ class TestDiagnostics:
                 parse_formula(text, SIG)
             except ParseDiagnostic:
                 pass
+
+
+class TestIdentifiers:
+    """``identifiers`` reads a text with the parser's scan."""
+
+    @pytest.mark.parametrize("text", ["   # P(x)", "P(x) &\n  $P(y)",
+                                      "E(x1é, y)", "P(x) -- P(y)", "1x = x"])
+    def test_identifiers_report_a_bad_character_as_the_parser_does(self,
+                                                                   text):
+        with pytest.raises(ParseDiagnostic) as parsed:
+            parse_formula(text, SIG)
+        with pytest.raises(ParseDiagnostic) as scanned:
+            identifiers(text)
+        assert scanned.value == parsed.value
+        assert str(scanned.value) == str(parsed.value)
+
+    def test_identifiers_are_the_names_but_keywords(self):
+        assert identifiers("forall x:S. E(x, c) -> f(y) = y1") == {
+            "x", "S", "E", "c", "f", "y", "y1"}
