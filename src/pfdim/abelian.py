@@ -24,6 +24,10 @@ from .logic import PfdimError
 
 NEGATION_CAP = 12
 SYMBOLIC_NEGATION_CAP = 4
+# a symbolic catalog holds (2d + 3) regimes times the nonemptiness patterns
+# of each counted variable, multiplied over the variables; past this many
+# cases it is refused before it is built
+SYMBOLIC_CASE_CAP = 10 ** 5
 MAX_COUNTED_VARS = 3
 
 
@@ -428,12 +432,18 @@ def _downward_closed_patterns(t: int) -> List[FrozenSet[FrozenSet[int]]]:
             for mask in _downward_closed_masks(t)]
 
 
-def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
-                      var: int = 0) -> List[GuardedPoly]:
+def _catalog_input(atoms: Sequence[StandardAtom], p: int):
+    """One variable's positive and negated atoms, and its nonemptiness
+    patterns (``_downward_closed_masks``)."""
     pos, neg = _split_atoms(atoms, p)
     if len(neg) > SYMBOLIC_NEGATION_CAP:
         raise AbelianError(
             f"symbolic route supports at most {SYMBOLIC_NEGATION_CAP} negated atoms")
+    return pos, neg, _downward_closed_masks(len(neg))
+
+
+def _symbolic_one_var(pos, neg, masks: List[int], p: int, d: int,
+                      var: int = 0) -> List[GuardedPoly]:
     t = len(neg)
     D = 2 * d + 2
     regimes: List[Tuple[str, Optional[int]]] = (
@@ -441,7 +451,6 @@ def _symbolic_one_var(atoms: Sequence[StandardAtom], p: int, d: int,
     subsets = _subsets(t)
     names = ["{" + ",".join(str(i + 1) for i in sorted(s)) + "}"
              for s in subsets]
-    masks = _downward_closed_masks(t)
     descs = []
     for mask in masks:
         taken = sorted(name for b, name in enumerate(names) if mask >> b & 1)
@@ -515,28 +524,37 @@ def symbolic_count(atoms: Sequence[StandardAtom], r: int, p: int,
     if d < derived_bound(atoms, p):
         raise AbelianError("d below the derived bound for these atoms")
     if r == 1:
-        return _symbolic_one_var(atoms, p, d)
+        inputs = [_catalog_input(atoms, p)]
+    else:
+        # group atoms by the counted variable they touch
+        groups: List[List[StandardAtom]] = [[] for _ in range(r)]
+        for atom in atoms:
+            touched = [i for i in range(min(atom.term.r, r))
+                       if atom.term.x_coeffs[i] != 0]
+            if len(touched) > 1:
+                raise AbelianError("coupled multi-variable atoms are outside "
+                                   "the supported fragment")
+            groups[touched[0] if touched else 0].append(atom)
 
-    # group atoms by the counted variable they touch
-    groups: List[List[StandardAtom]] = [[] for _ in range(r)]
-    for atom in atoms:
-        touched = [i for i in range(min(atom.term.r, r))
-                   if atom.term.x_coeffs[i] != 0]
-        if len(touched) > 1:
-            raise AbelianError(
-                "coupled multi-variable atoms are outside the supported fragment")
-        groups[touched[0] if touched else 0].append(atom)
-
-    # each group's atoms reference variable i; re-target them to slot 0
-    per_var = []
-    for i in range(r):
-        retargeted = []
-        for atom in groups[i]:
-            xs = list(atom.term.x_coeffs) + [0] * (r - atom.term.r)
-            retargeted.append(StandardAtom(
-                atom.kind, LinearTerm((xs[i],), atom.term.y_coeffs),
-                atom.level, atom.negated, atom.base))
-        per_var.append(_symbolic_one_var(retargeted, p, d))
+        # each group's atoms reference variable i; re-target them to slot 0
+        inputs = []
+        for i in range(r):
+            retargeted = []
+            for atom in groups[i]:
+                xs = list(atom.term.x_coeffs) + [0] * (r - atom.term.r)
+                retargeted.append(StandardAtom(
+                    atom.kind, LinearTerm((xs[i],), atom.term.y_coeffs),
+                    atom.level, atom.negated, atom.base))
+            inputs.append(_catalog_input(retargeted, p))
+    size = 1
+    for _, _, masks in inputs:
+        size *= (2 * d + 3) * len(masks)
+    if size > SYMBOLIC_CASE_CAP:
+        raise AbelianError(f"the symbolic catalog would hold {size} cases, "
+                           f"over the limit of {SYMBOLIC_CASE_CAP}")
+    per_var = [_symbolic_one_var(*one, p, d) for one in inputs]
+    if r == 1:
+        return per_var[0]
 
     cases = []
     for combo in product(*per_var):

@@ -10,10 +10,10 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import abelian, dimension, families, groups, measure, vspace
+# a module that only one command needs is imported by that command
+from . import dimension, families
 from .counting import AssignmentError, count as engine_count
 from .families import FamilyAt, count_family, get_family
 from .logic import PfdimError, load_structure
@@ -131,7 +131,8 @@ def nonnegative(text: str) -> float:
     return value
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -240,6 +241,7 @@ def _parse_group_params(args) -> list:
 
 
 def _cmd_abelian_count(args) -> int:
+    from . import abelian
     atoms = abelian.parse_standard_conjunction(args.formula, args.r, args.s)
     params = _parse_group_params(args)
     if args.symbolic:
@@ -265,6 +267,7 @@ def _cmd_abelian_count(args) -> int:
 
 
 def _cmd_vs_count(args) -> int:
+    from . import vspace
     # the closed forms read only (q, dim): the structure is never built
     space = families.vector_space_ambient(args.q, args.dim)
     if args.coset_spec:
@@ -304,11 +307,12 @@ def _cmd_vs_count(args) -> int:
 
 
 def _load_space(path: str):
+    from . import measure
     with open(path) as fh:
         return measure.space_from_json(fh.read())
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -316,6 +320,7 @@ def _witness(key: str, search, space, events, arg) -> int:
     """Emit ``search(space, events, arg)``'s witness, its events under
     ``key``; a failed search other than a refused hypothesis is a
     ``violation`` with exit 2."""
+    from . import measure
     try:
         witness = search(space, events, arg)
     except measure.HypothesisError:
@@ -330,18 +335,21 @@ def _witness(key: str, search, space, events, arg) -> int:
 
 
 def _cmd_measure_kcap(args) -> int:
+    from . import measure
     space, events = _load_space(args.space)
     return _witness("indices", measure.find_k_intersection, space, events,
                     args.k)
 
 
 def _cmd_pairwise_check(args) -> int:
+    from . import measure
     space, events = _load_space(args.space)
     return _witness("pair", measure.pairwise_threshold_check, space, events,
                     _parse_fraction(args.eps))
 
 
 def _cmd_word_image(args) -> int:
+    from . import groups
     G = groups.builtin_group(args.group)
     word = groups.parse_word(args.word)
     image = groups.word_image(word, G, budget=args.budget)

@@ -10,7 +10,6 @@ first-class outcome.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -224,6 +223,7 @@ def fmv_spectrum(family: FamilyHandle, phi_text: str,
 def export_csv(report: SpectrumReport, path: str) -> None:
     """A spectrum's (index, series, log-count) rows for plotting, series k
     being the k-th distinct log-count at that index."""
+    import csv
     if not isinstance(report, SpectrumReport):
         raise DimensionError(f"cannot export {type(report).__name__}")
     with open(path, "w", newline="") as fh:

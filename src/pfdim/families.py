@@ -44,15 +44,17 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
-from . import gf
 from .counting import CardinalitySequence, Count, compile_formula, get_budget
 from .logic import (And, Exists, FiniteStructure, Forall, Formula, Implies,
                     Not, Or, PfdimError, Rel, Signature, free_variables,
                     make_signature, rename_free)
 from .parser import identifiers, parse_formula, reads_alike
-from .vspace import Ambient
+
+if TYPE_CHECKING:
+    from .vspace import Ambient
 
 MAX_UNIVERSE = 200_000
 MAX_TABLE_ENTRIES = 2_000_000
@@ -800,6 +802,8 @@ def vector_space_ambient(q: int, dim: int) -> Ambient:
     """The coordinate view of GF(q)^dim, after the same checks as
     ``make_vector_space``; the closed forms in ``vspace`` need nothing
     more, so the structure itself is never built."""
+    from . import gf
+    from .vspace import Ambient
     if q not in gf.SUPPORTED_Q:
         raise FamilyError(f"q={q} is not a supported prime power")
     if dim < 1 or dim > 6:
@@ -816,6 +820,7 @@ def make_vector_space(q: int, dim: int) -> FiniteStructure:
     theta_n tables are materialized only while (q^dim)^n stays small;
     beyond that they are virtual relations computed by Gaussian rank.
     """
+    from . import gf
     amb = vector_space_ambient(q, dim)
     F = amb.F
     nvec = amb.size
@@ -870,6 +875,7 @@ def make_homocyclic(p: int, n: int, m: int) -> FiniteStructure:
     """The group (Z/p^nZ)^m with add/neg tables; element ids encode m-tuples
     of residues mod p^n in base p^n, first coordinate least significant
     (``gf.vec_decode``)."""
+    from . import gf
     try:
         prime = gf.is_prime(p)
     except ValueError as exc:

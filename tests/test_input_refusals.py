@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from pfdim.abelian import (SYMBOLIC_CASE_CAP, AbelianError,
+                           parse_standard_conjunction, symbolic_count)
 from pfdim.cli import main
 from pfdim.families import (FamilyError, MAX_SUMMARY_BITS, family_summary,
                             get_family, list_families)
@@ -114,6 +116,47 @@ class TestAbelianR:
         code, out, _ = run(capsys, *self.ARGS, "--symbolic")
         assert code == 0
         assert json.loads(out)["count"] == "3"
+
+
+class TestSymbolicCatalogSize:
+    """A catalog holds (2d + 3) regimes times each counted variable's
+    nonemptiness patterns (168 for 4 negated atoms), multiplied over the
+    variables; past ``SYMBOLIC_CASE_CAP`` cases it is refused before it is
+    built."""
+
+    ARGS = ("abelian-count", "--p", "2", "--n", "2", "--m", "1", "--symbolic")
+    FOUR = ("!2*x1 = 0 & !div(2^1, 1*x1) & !div(2^2, 3*x1) & !1*x1 = 0 "
+            "& div(2^2, 2*x1)")
+
+    def test_under_the_cap_is_built(self, capsys):
+        code, out, err = run(capsys, *self.ARGS, "--formula", self.FOUR,
+                             "--d", "2")
+        assert code == 0, err
+        assert len(json.loads(out)["cases"]) == 7 * 168
+
+    @pytest.mark.parametrize("argv,cases", [
+        # one variable, no negation: 2 patterns times 2d + 3 regimes
+        (("--formula", "1*x1 = 0", "--d", "24999"), 2 * 50001),
+        (("--formula", "1*x1 = 0", "--d", "100000"), 2 * 200003),
+        (("--formula", FOUR, "--d", "100000"), 168 * 200003),
+        # two variables with 4 negations each: (5 * 168)^2 at d = 1
+        (("--r", "2", "--d", "1", "--formula",
+          "!1*x1 = 0 & !div(2^1, 1*x1) & !div(2^1, 3*x1) & !3*x1 = 0 & "
+          "!1*x2 = 0 & !div(2^1, 1*x2) & !div(2^1, 3*x2) & !3*x2 = 0"),
+         (5 * 168) ** 2),
+    ])
+    def test_over_the_cap_is_refused_at_once(self, capsys, argv, cases):
+        assert cases > SYMBOLIC_CASE_CAP
+        start = time.monotonic()
+        code, out, err = run(capsys, *self.ARGS, *argv)
+        assert (code, out) == (1, "")
+        assert f"would hold {cases} cases" in err
+        assert time.monotonic() - start < 2
+
+    def test_refused_by_symbolic_count(self):
+        atoms = parse_standard_conjunction("1*x1 = 0", 1, 0)
+        with pytest.raises(AbelianError, match="100002 cases"):
+            symbolic_count(atoms, 1, 2, 24999)
 
 
 class TestThresholds:
