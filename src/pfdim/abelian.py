@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -281,10 +282,15 @@ class ExponentPolynomial:
             if not (0 <= i <= self.k and -self.k * self.d <= j <= self.k * self.d):
                 raise AbelianError(f"index ({i},{j}) outside S({self.d},{self.k})")
 
+    @cached_property
+    def _rows(self) -> Tuple[dict, ...]:
+        # built once: a catalog shares one polynomial among many cases
+        return tuple([{"i": i, "j": j, "c": c}
+                      for (i, j), c in sorted(self.coeffs)])
+
     def to_json_dict(self) -> dict:
-        return {"k": self.k, "d": self.d,
-                "coeffs": [{"i": i, "j": j, "c": c}
-                           for (i, j), c in sorted(self.coeffs)]}
+        """``coeffs`` is one tuple shared by every call: read it only."""
+        return {"k": self.k, "d": self.d, "coeffs": self._rows}
 
     def __str__(self) -> str:
         parts = []
@@ -468,6 +474,8 @@ def _symbolic_one_var(pos, neg, masks: List[int], p: int, d: int,
         return solvable[key]
 
     cases = []
+    # across regimes too, one polynomial per coefficient set (see _rows)
+    shared: Dict[tuple, ExponentPolynomial] = {}
     for regime_desc, n0 in regimes:
         # the monomial of one negation subset is the same in every pattern,
         # so a pattern's coefficient of a monomial is the number of its
@@ -487,8 +495,8 @@ def _symbolic_one_var(pos, neg, masks: List[int], p: int, d: int,
         for mask, pattern_desc, coeffs in zip(masks, descs, zip(*columns)):
             poly = polys.get(coeffs)
             if poly is None:
-                poly = polys[coeffs] = make_poly(1, d,
-                                                 dict(zip(monomials, coeffs)))
+                poly = make_poly(1, d, dict(zip(monomials, coeffs)))
+                poly = polys[coeffs] = shared.setdefault(poly.coeffs, poly)
 
             def fires(n, m, params, _n0=n0, _mask=mask, _D=D):
                 if _n0 is None:

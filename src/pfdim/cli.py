@@ -10,7 +10,7 @@ import functools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 # a module that only one command needs is imported by that command
 from . import dimension, families
@@ -25,7 +25,7 @@ def _emit(payload: dict) -> None:
     newline, in one write.  ``json``'s own encoder with ``indent`` is pure
     Python and leaves its closures as cyclic garbage on every call."""
     out: List[str] = []
-    _encode(payload, "\n", out)
+    _encode(payload, "\n", out, {})
     out.append("\n")
     sys.stdout.write("".join(out))
 
@@ -75,9 +75,10 @@ def _encode_key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _encode(value, newline: str, out: List[str]) -> None:
+def _encode(value, newline: str, out: List[str], memo: dict) -> None:
     """Append the text of ``value`` to ``out``; ``newline`` is a newline and
-    the indent of the line ``value`` starts on."""
+    the indent of the line ``value`` starts on.  ``memo`` holds the text
+    of each tuple written so far in this payload, by (id, newline)."""
     text = _SCALAR_TEXT.get(value.__class__)
     if text is not None:
         out.append(text(value))
@@ -88,21 +89,41 @@ def _encode(value, newline: str, out: List[str]) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in value.items():
-            out.append(sep + _encode_key(key) + ": ")
-            _encode(item, inner, out)
+            sep += (_encode_str(key) if key.__class__ is str
+                    else _encode_key(key)) + ": "
+            # a scalar is written here, without a call of its own
+            text = _SCALAR_TEXT.get(item.__class__)
+            if text is None:
+                out.append(sep)
+                _encode(item, inner, out, memo)
+            else:
+                out.append(sep + text(item))
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
+        shared = value.__class__ is tuple
+        if shared:
+            memo_key = (id(value), newline)
+            if memo_key in memo:
+                out.append(memo[memo_key])
+                return
+            start = len(out)
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _encode(item, inner, out)
+            text = _SCALAR_TEXT.get(item.__class__)
+            if text is None:
+                out.append(sep)
+                _encode(item, inner, out, memo)
+            else:
+                out.append(sep + text(item))
             sep = "," + inner
         out.append(newline + "]")
+        if shared:
+            memo[memo_key] = "".join(out[start:])
     else:
         out.append(_scalar(value))
 
@@ -367,132 +388,139 @@ def _cmd_word_image(args) -> int:
 # argument parser
 
 
+# each subcommand's one-line help and implementation, in --help order
+_COMMANDS = {
+    "count": ("count satisfying assignments", _cmd_count),
+    "family": ("generate or count along a family", _cmd_family),
+    "dim-compare": ("compare growth of two count sequences", _cmd_dim_compare),
+    "chain": ("detect strictly dropping chains", _cmd_chain),
+    "spectrum": ("per-parameter log-count spectrum", _cmd_spectrum),
+    "abelian-count": ("count standard-form sets in (Z/p^nZ)^m",
+                      _cmd_abelian_count),
+    "vs-count": ("count theta/coset sets over (V, F)", _cmd_vs_count),
+    "measure-kcap": ("k-wise intersection bound witness", _cmd_measure_kcap),
+    "pairwise-check": ("pairwise intersection threshold",
+                       _cmd_pairwise_check),
+    "word-image": ("image of a word map on a group", _cmd_word_image)}
+
+_BUDGET_HELP = ("step budget: assignments times quantifier visits "
+                "(default PFDIM_BUDGET)")
+
+
+def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
+    """Subcommand ``name``'s arguments on ``p``; ``func`` defaults to its
+    implementation and ``command`` to ``name``, as the top parser sets it."""
+    if name == "count":
+        p.add_argument("--structure", required=True)
+        p.add_argument("--formula", required=True)
+        p.add_argument("--fix", action="append",
+                       help="var=elementId[,var=id...]")
+        p.add_argument("--count-vars", required=True)
+        p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    elif name == "family":
+        p.add_argument("--name", required=True)
+        p.add_argument("--index", type=int, required=True)
+        p.add_argument("--out")
+        p.add_argument("--formula")
+        p.add_argument("--selector")
+        p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    elif name == "dim-compare":
+        p.add_argument("--family", required=True)
+        p.add_argument("--formula-x", required=True)
+        p.add_argument("--selector-x")
+        p.add_argument("--formula-y", required=True)
+        p.add_argument("--selector-y")
+        p.add_argument("--indices", required=True)
+        p.add_argument("--tau", type=nonnegative,
+                       default=dimension.TAU_DEFAULT)
+        p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    elif name == "chain":
+        p.add_argument("--family", required=True)
+        p.add_argument("--step", action="append", required=True,
+                       help="formula[@selector], repeatable")
+        p.add_argument("--indices", required=True)
+        p.add_argument("--tau", type=nonnegative,
+                       default=dimension.TAU_DEFAULT)
+    elif name == "spectrum":
+        p.add_argument("--family", required=True)
+        p.add_argument("--formula", required=True)
+        p.add_argument("--indices", required=True)
+        p.add_argument("--gamma", type=nonnegative,
+                       default=dimension.GAMMA_DEFAULT)
+        p.add_argument("--csv",
+                       help="write (index, series, logCount) rows here")
+    elif name == "abelian-count":
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--r", type=int, default=1, help="counted variables")
+        p.add_argument("--s", type=int, default=0,
+                       help="parameter variables")
+        p.add_argument("--formula", required=True)
+        p.add_argument("--param", action="append",
+                       help="parameter tuple 'c1,c2,...', repeatable")
+        p.add_argument("--symbolic", action="store_true")
+        p.add_argument("--d", type=int, default=None)
+    elif name == "vs-count":
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--w", help="comma-separated vector ids w_1..w_m")
+        p.add_argument("--wprime",
+                       help="comma-separated vector ids w'_1..w'_m'")
+        p.add_argument("--coset-spec",
+                       help="JSON file with include/exclude cosets")
+    elif name == "measure-kcap":
+        p.add_argument("--space", required=True)
+        p.add_argument("--k", type=int, required=True)
+    elif name == "pairwise-check":
+        p.add_argument("--space", required=True)
+        p.add_argument("--eps", required=True)
+    elif name == "word-image":
+        p.add_argument("--group", required=True)
+        p.add_argument("--word", required=True)
+        p.add_argument("--triple", action="store_true",
+                       help="also check whether image^3 covers the group")
+        p.add_argument("--budget", type=int, default=10 ** 8,
+                       help="word-evaluation budget (default 10^8)")
+    p.set_defaults(func=_COMMANDS[name][1], command=name)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
-def _build() -> Tuple[argparse.ArgumentParser,
-                      Dict[str, argparse.ArgumentParser]]:
-    """The top parser, and each subcommand's own parser by name; every
-    subcommand sets ``command`` to its name, as the top parser does."""
+    """The top parser, built afresh: every subcommand sets ``command`` to
+    its name."""
     top = argparse.ArgumentParser(
         prog="pfdim",
         description="Exact counting of definable sets in finite structures")
     sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, _) in _COMMANDS.items():
+        _add_arguments(name, sub.add_parser(name, help=text))
+    return top
 
-    budget_help = ("step budget: assignments times quantifier visits "
-                   "(default PFDIM_BUDGET)")
 
-    p = sub.add_parser("count", help="count satisfying assignments")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--fix", action="append", help="var=elementId[,var=id...]")
-    p.add_argument("--count-vars", required=True)
-    p.add_argument("--budget", type=int, default=None, help=budget_help)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("family", help="generate or count along a family")
-    p.add_argument("--name", required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--formula")
-    p.add_argument("--selector")
-    p.add_argument("--budget", type=int, default=None, help=budget_help)
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("dim-compare", help="compare growth of two count sequences")
-    p.add_argument("--family", required=True)
-    p.add_argument("--formula-x", required=True)
-    p.add_argument("--selector-x")
-    p.add_argument("--formula-y", required=True)
-    p.add_argument("--selector-y")
-    p.add_argument("--indices", required=True)
-    p.add_argument("--tau", type=nonnegative, default=dimension.TAU_DEFAULT)
-    p.add_argument("--budget", type=int, default=None, help=budget_help)
-    p.set_defaults(func=_cmd_dim_compare)
-
-    p = sub.add_parser("chain", help="detect strictly dropping chains")
-    p.add_argument("--family", required=True)
-    p.add_argument("--step", action="append", required=True,
-                   help="formula[@selector], repeatable")
-    p.add_argument("--indices", required=True)
-    p.add_argument("--tau", type=nonnegative, default=dimension.TAU_DEFAULT)
-    p.set_defaults(func=_cmd_chain)
-
-    p = sub.add_parser("spectrum", help="per-parameter log-count spectrum")
-    p.add_argument("--family", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--indices", required=True)
-    p.add_argument("--gamma", type=nonnegative, default=dimension.GAMMA_DEFAULT)
-    p.add_argument("--csv", help="write (index, series, logCount) rows here")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("abelian-count",
-                       help="count standard-form sets in (Z/p^nZ)^m")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=1, help="counted variables")
-    p.add_argument("--s", type=int, default=0, help="parameter variables")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--param", action="append",
-                   help="parameter tuple 'c1,c2,...', repeatable")
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--d", type=int, default=None)
-    p.set_defaults(func=_cmd_abelian_count)
-
-    p = sub.add_parser("vs-count", help="count theta/coset sets over (V, F)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--w", help="comma-separated vector ids w_1..w_m")
-    p.add_argument("--wprime", help="comma-separated vector ids w'_1..w'_m'")
-    p.add_argument("--coset-spec", help="JSON file with include/exclude cosets")
-    p.set_defaults(func=_cmd_vs_count)
-
-    p = sub.add_parser("measure-kcap", help="k-wise intersection bound witness")
-    p.add_argument("--space", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_measure_kcap)
-
-    p = sub.add_parser("pairwise-check", help="pairwise intersection threshold")
-    p.add_argument("--space", required=True)
-    p.add_argument("--eps", required=True)
-    p.set_defaults(func=_cmd_pairwise_check)
-
-    p = sub.add_parser("word-image", help="image of a word map on a group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--triple", action="store_true",
-                   help="also check whether image^3 covers the group")
-    p.add_argument("--budget", type=int, default=10 ** 8,
-                   help="word-evaluation budget (default 10^8)")
-    p.set_defaults(func=_cmd_word_image)
-
-    for name, p in sub.choices.items():
-        p.set_defaults(command=name)
-    return top, sub.choices
+# each parser is built on first use, not at import, and then reused:
+# building one costs about 30 times as much as parsing one command line
+_top_parser = functools.cache(build_parser)
 
 
 @functools.cache
-def _parsers() -> Tuple[argparse.ArgumentParser,
-                        Dict[str, argparse.ArgumentParser]]:
-    # built on the first main() call, not at import, and then reused:
-    # building costs about 30 times as much as parsing one command line
-    return _build()
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser on its own, as the top parser's
+    ``add_parser`` makes it."""
+    p = argparse.ArgumentParser(prog=f"pfdim {name}")
+    _add_arguments(name, p)
+    return p
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
     """``argv`` parsed as the top parser parses it.  A known subcommand
-    goes straight to its own parser, at half the cost, with the same
-    namespace, usage text and exit code; anything else (no argv, an unknown
-    command, --help) goes through the top parser."""
-    top, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return top.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
+    goes straight to its own parser, built alone, with the same namespace,
+    usage text and exit code; anything else (no argv, an unknown command,
+    --help, stray arguments) goes through the top parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _top_parser().parse_args(argv)
+    args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
     if extra:    # reported by the top parser, as its parse_args does
-        top.error(f"unrecognized arguments: {' '.join(extra)}")
+        _top_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 

@@ -161,7 +161,7 @@ def _membership(M: FiniteStructure, name: str):
 
 
 def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
-                    counted: Sequence[str] = ()):
+                    counted: Sequence[str] = (), size: Optional[int] = None):
     """Compile ``phi`` for ``M`` into ``(test, env, visits)``.
 
     ``env`` is the slot list: the values of ``fixed``, then one slot for
@@ -179,6 +179,9 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
     guard allows: the conjuncts of its body (of the antecedent, for
     ``forall z. A -> B``) that ``_guarded`` picks, compiled as a mask over
     the bound variable and evaluated once per run of the binder.
+
+    ``size``, when given, is the size of the last counted variable's sort,
+    which is otherwise read from ``phi``'s free variables.
     """
     names = [*fixed, *counted]
     width = len(names)
@@ -404,7 +407,9 @@ def compile_formula(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
 
     s, domain = None, range(1)
     if counted:   # v, the last counted variable
-        s, domain = width - 1, range(M.sizes[dict(free_variables(phi))[counted[-1]]])
+        if size is None:
+            size = M.sizes[dict(free_variables(phi))[counted[-1]]]
+        s, domain = width - 1, range(size)
     test = walk(phi, {name: i for i, name in enumerate(names)}, 1, s, domain,
                 (1 << len(domain)) - 1)
     del walk, term   # they reach themselves through their cells
@@ -464,7 +469,8 @@ def count(phi: Formula, M: FiniteStructure, fixed: Dict[str, int],
                 f"(elements 0..{n - 1})")
     domains = [range(_sort_size(M, v, sorts[v])) for v in counted_vars]
     # the counted variables' slots follow the fixed ones
-    test, env, visits = compile_formula(phi, M, fixed, counted_vars)
+    test, env, visits = compile_formula(
+        phi, M, fixed, counted_vars, len(domains[-1]) if domains else None)
     total = 1 + visits
     for domain in domains:
         total *= len(domain)

@@ -315,7 +315,16 @@ def triple_product_covers(x1: FrozenSet[int], x2: FrozenSet[int],
 
     Returns (covers, missing) where ``missing`` is the sorted witness gap.
     """
-    step = {G.mul[a][b] for a in x1 for b in x2}
-    full = {G.mul[a][b] for a in step for b in x3}
-    missing = sorted(set(range(G.n)) - full)
+    full = _set_product(_set_product(x1, x2, G), x3, G)
+    missing = [] if len(full) == G.n else sorted(set(range(G.n)) - full)
     return (not missing), missing
+
+
+def _set_product(xs, ys, G: Group) -> set:
+    """{ab : a in xs, b in ys}, a table row at a time, until it is G."""
+    out = set()
+    for a in xs:
+        out.update(map(G.mul[a].__getitem__, ys))
+        if len(out) == G.n:
+            break
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
@@ -42,14 +42,24 @@ Event = FrozenSet[int]
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
     weights: Tuple[Fraction, ...]
+    # the weights as integers over their least common denominator
+    scale: int = field(init=False, repr=False, compare=False)
+    integer_weights: Tuple[int, ...] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if not self.weights:
             raise MeasureError("a measure space needs at least one atom")
-        if any(w < 0 for w in self.weights):
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        ints = tuple([w.numerator * (scale // w.denominator)
+                      for w in self.weights])
+        if min(ints) < 0:
             raise MeasureError("weights must be nonnegative")
-        if sum(self.weights) != 1:
-            raise MeasureError(f"weights sum to {sum(self.weights)}, not 1")
+        if sum(ints) != scale:
+            raise MeasureError(
+                f"weights sum to {Fraction(sum(ints), scale)}, not 1")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "integer_weights", ints)
 
     @property
     def atoms(self) -> int:
@@ -144,8 +154,7 @@ def _integer_events(space: FiniteMeasureSpace, events: Sequence[Event]):
     mu(A) == Fraction(weigh(mask of A), scale)."""
     if any(not 0 <= a < space.atoms for e in events for a in e):
         raise MeasureError("event references an atom outside the space")
-    scale = math.lcm(*(w.denominator for w in space.weights))
-    weights = [w.numerator * (scale // w.denominator) for w in space.weights]
+    weights, scale = space.integer_weights, space.scale
 
     def weigh(mask: int) -> int:
         total = 0

@@ -366,6 +366,43 @@ class TestDispatch:
         assert json.loads(out)["count"] == "8"
 
 
+class TestParserBuild:
+    """A known subcommand builds only its own parser; the top parser is
+    built for the fallback alone."""
+
+    def test_a_known_command_builds_only_its_parser(self, capsys):
+        from pfdim import cli
+        cli._top_parser.cache_clear()
+        cli._command_parser.cache_clear()
+        code, out, _ = run(capsys, "word-image", "--group", "S3", "--word",
+                           "x*x")
+        assert code == 0 and json.loads(out)["imageSize"] == 3
+        assert cli._top_parser.cache_info().currsize == 0
+        assert cli._command_parser.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nosuch"], ["--help"], ["family", "--name", "findelta",
+                                     "--index", "8", "stray"]])
+    def test_the_fallback_builds_the_top_parser(self, capsys, argv):
+        from pfdim import cli
+        cli._top_parser.cache_clear()
+        main(argv)
+        capsys.readouterr()
+        assert cli._top_parser.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("name", [
+        "count", "family", "dim-compare", "chain", "spectrum",
+        "abelian-count", "vs-count", "measure-kcap", "pairwise-check",
+        "word-image"])
+    def test_same_help_as_the_top_parsers_subparser(self, name):
+        from pfdim.cli import _command_parser, build_parser
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command").choices[name]
+        alone = _command_parser(name)
+        assert alone.prog == sub.prog == f"pfdim {name}"
+        assert alone.format_help() == sub.format_help()
+
+
 # ---------------------------------------------------------------------------
 # _emit writes exactly what json.dump(..., indent=2) writes
 
@@ -410,6 +447,43 @@ class TestEmit:
         {"a": ({},)}, {1: [], None: {}, True: "t", 2.5: ()}])
     def test_empty_containers(self, payload):
         assert emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shared_objects(self, data):
+        """One list, tuple or dict object met several times, at one
+        indent and at several, inside another shared object, and empty:
+        a tuple met again is written from the text of its first writing."""
+        inner = data.draw(st.one_of(
+            st.lists(VALUES, max_size=3), st.lists(VALUES, max_size=3).map(
+                tuple), st.dictionaries(KEYS, VALUES, max_size=3)))
+        outer = data.draw(st.sampled_from(
+            [(inner, inner), [inner, (inner,)], {"a": inner, "b": [inner]}]))
+        payload = data.draw(st.recursive(
+            st.one_of(st.sampled_from([inner, outer]), SCALARS),
+            lambda part: st.one_of(
+                st.lists(part, max_size=4),
+                st.lists(part, max_size=4).map(tuple),
+                st.dictionaries(KEYS, part, max_size=4)),
+            max_leaves=12))
+        assert emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_a_shared_tuple_is_encoded_once_per_indent(self, monkeypatch):
+        from pfdim import cli
+        rows = ({"i": 0, "j": 1, "c": -1}, {"i": 1, "j": 0, "c": 2})
+        payload = {"cases": [{"coeffs": rows} for _ in range(50)],
+                   "shallower": [rows, rows]}
+        encoded = []
+        encode = cli._encode
+
+        def counted(value, *args):
+            encoded.append(value)
+            return encode(value, *args)
+
+        monkeypatch.setattr(cli, "_encode", counted)
+        assert emitted(payload) == json.dumps(payload, indent=2) + "\n"
+        # each row dict once at each of the two indents rows is met at
+        assert sum(isinstance(v, dict) and "i" in v for v in encoded) == 4
 
     def test_subclasses_of_json_types(self):
         class Level(enum.IntEnum):

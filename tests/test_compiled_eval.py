@@ -642,3 +642,31 @@ class TestGuardedBinders:
         phi = checked(Exists("z", "S", And(E(x, z), And(P(w), E(z, y)))))
         test, env, _ = compile_formula(phi, M4, {"x": 3}, ["y"])
         assert test(env) == 0
+
+
+class TestOneFreeVariableWalk:
+    def test_count_walks_the_free_variables_once(self):
+        from pfdim import counting
+        phi = checked(Exists("z", "S", And(E(x, z), E(z, y))))
+        walks = []
+        real = counting.free_variables
+
+        def counted(f):
+            walks.append(f)
+            return real(f)
+
+        with mock.patch.object(counting, "free_variables", counted):
+            assert count(phi, M4, {}, ["x", "y"]) == count(phi, M4, {},
+                                                           ["x", "y"])
+        assert len(walks) == 2    # one per count
+
+    def test_the_size_compile_formula_reads_when_none_is_given(self):
+        phi = checked(Exists("z", "S", And(E(x, z), E(z, y))))
+        for fixed, counted in (({}, ["x", "y"]), ({"x": 1}, ["y"]),
+                               ({"y": 2}, ["x"])):
+            read, _, _ = compile_formula(phi, M4, fixed, counted)
+            given_size, env, _ = compile_formula(phi, M4, fixed, counted,
+                                                 M4.sizes["S"])
+            env[len(fixed):len(fixed) + len(counted) - 1] = [3] * (
+                len(counted) - 1)
+            assert read(env) == given_size(env)

@@ -4,7 +4,7 @@ import gc
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pfdim import groups
 from pfdim.groups import (Group, WIdent, WInv, WMul, WVar, builtin_group,
@@ -174,3 +174,76 @@ class TestWordImageByRows:
         G = builtin_group("S4")
         assert word_image(parse_word("x*y*z"), G) == frozenset(range(G.n))
         assert rows == [(0, 0)]
+
+
+BUILTIN = ("C1", "C2", "C6", "C12", "S3", "A4", "S4", "A5", "PSL(2,7)")
+
+
+@st.composite
+def subsets(draw, n):
+    """The empty set, a singleton, all of G, or a few random elements."""
+    kind = draw(st.sampled_from(["empty", "single", "all", "some"]))
+    if kind == "empty":
+        return frozenset()
+    if kind == "single":
+        return frozenset({draw(st.integers(0, n - 1))})
+    if kind == "all":
+        return frozenset(range(n))
+    return frozenset(draw(st.lists(st.integers(0, n - 1), max_size=14)))
+
+
+@st.composite
+def triples(draw):
+    G = draw(st.one_of(st.sampled_from(BUILTIN).map(builtin_group),
+                       magmas()))
+    x1, x2, x3 = (draw(subsets(G.n)) for _ in range(3))
+    # the reference visits every triple: keep it under a few 10^5
+    assume(len(x1) * len(x2) * len(x3) <= 3 * 10 ** 5)
+    return G, x1, x2, x3
+
+
+class TestTripleProductByRows:
+    """``triple_product_covers`` multiplies a table row at a time and stops
+    once a product is all of G; a loop over every a, b, c is the
+    reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(triples())
+    @example((builtin_group("PSL(2,7)"), frozenset({5}),
+              frozenset(range(168)), frozenset({0, 7})))
+    @example((builtin_group("S3"), frozenset(), frozenset(range(6)),
+              frozenset(range(6))))
+    @example((M4, frozenset({1, 2}), frozenset({3}), frozenset({1, 3})))
+    def test_matches_the_triple_loop(self, case):
+        G, x1, x2, x3 = case
+        full = {G.mul[G.mul[a][b]][c] for a in x1 for b in x2 for c in x3}
+        missing = sorted(set(range(G.n)) - full)
+        assert triple_product_covers(x1, x2, x3, G) == (not missing, missing)
+
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_all_of_g_covers_and_an_empty_factor_misses_all(self, name):
+        G = builtin_group(name)
+        everything = frozenset(range(G.n))
+        assert triple_product_covers(everything, everything, everything,
+                                     G) == (True, [])
+        for empty in range(3):
+            factors = [everything] * 3
+            factors[empty] = frozenset()
+            assert triple_product_covers(*factors, G) == (
+                False, list(range(G.n)))
+
+    def test_each_product_stops_once_it_is_all_of_g(self):
+        rows = []
+
+        class Rows(tuple):
+            def __getitem__(self, a):
+                rows.append(a)
+                return tuple.__getitem__(self, a)
+
+        G = builtin_group("A5")
+        G = Group("A5", G.n, Rows(G.mul), G.inv)
+        rows.clear()    # the identity check read them all
+        everything = frozenset(range(G.n))
+        assert triple_product_covers(frozenset({7}), everything, everything,
+                                     G) == (True, [])
+        assert len(rows) == 2    # one row of X1, then one of X1 X2

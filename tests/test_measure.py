@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -40,6 +41,36 @@ class TestSpaceBasics:
     def test_negative_weight_rejected(self):
         with pytest.raises(MeasureError):
             FiniteMeasureSpace((Fraction(3, 2), Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("weights,message", [
+        ((Fraction(1, 2), Fraction(1, 4)), "weights sum to 3/4, not 1"),
+        ((Fraction(1), Fraction(1)), "weights sum to 2, not 1"),
+        ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)),
+         "weights sum to 5/6, not 1"),
+        ((Fraction(3, 2), Fraction(-1, 2)), "weights must be nonnegative"),
+        ((Fraction(-1, 2), Fraction(1, 4)), "weights must be nonnegative"),
+        ((), "a measure space needs at least one atom")])
+    def test_refusal_messages(self, weights, message):
+        with pytest.raises(MeasureError) as exc:
+            FiniteMeasureSpace(weights)
+        assert str(exc.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30)
+           .filter(any), st.integers(1, 50))
+    def test_integer_weights_over_the_least_common_denominator(self, raw,
+                                                               split):
+        total = sum(raw)
+        # one weight in pieces, so the denominators differ
+        weights = [Fraction(w, total) for w in raw[:-1]] + [
+            Fraction(raw[-1], total * split)] * split
+        space = FiniteMeasureSpace(tuple(weights))
+        assert space.scale == math.lcm(*(w.denominator for w in weights))
+        for w, i in zip(space.weights, space.integer_weights):
+            assert type(i) is int and i == w * space.scale
+        # derived from the weights: left out of equality and repr
+        assert space == FiniteMeasureSpace(tuple(weights))
+        assert repr(space) == f"FiniteMeasureSpace(weights={space.weights!r})"
 
     def test_mu_is_additive_on_disjoint_parts(self):
         space = uniform_space(6)
