@@ -5,11 +5,36 @@ intersection bounds, and word-map images in finite groups.
 
 Names resolve on first use (PEP 562): ``import pfdim`` loads no submodule,
 and ``pfdim.count``, ``from pfdim import count`` or ``pfdim.counting`` loads
-only the module that defines it and the modules that one imports."""
+only the module that defines it and the modules that one imports.
+``PfdimError`` and ``Count``, which the closed-form modules share with the
+formula stack, are defined here, so those modules load without it."""
 
+import math
 import sys
+from dataclasses import dataclass, field
 
 __version__ = "0.1.0"
+
+
+class PfdimError(Exception):
+    """Base class for all library errors."""
+
+
+@dataclass(frozen=True)
+class Count:
+    """An exact nonnegative integer with its natural log (-inf for zero)."""
+
+    value: int
+    log_value: float = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise ValueError("counts are nonnegative")
+        if self.log_value is None:
+            # math.log takes big ints directly without float conversion
+            lv = -math.inf if self.value == 0 else math.log(self.value)
+            object.__setattr__(self, "log_value", lv)
+
 
 # every submodule, with the public names it defines
 _EXPORTS = {

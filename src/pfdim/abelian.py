@@ -19,9 +19,8 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .counting import Count
+from . import Count, PfdimError
 from .gf import is_prime
-from .logic import PfdimError
 
 NEGATION_CAP = 12
 SYMBOLIC_NEGATION_CAP = 4

@@ -12,12 +12,8 @@ import math
 import sys
 from typing import List, Optional
 
-# a module that only one command needs is imported by that command
-from . import dimension, families
-from .counting import AssignmentError, count as engine_count
-from .families import FamilyAt, count_family, get_family
-from .logic import PfdimError, load_structure
-from .parser import ParseDiagnostic, parse_formula
+# every other module is imported by the commands that run it, and only by them
+from . import PfdimError
 
 
 def _emit(payload: dict) -> None:
@@ -165,8 +161,9 @@ def _parse_fraction(text: str):
 
 
 def _cmd_count(args) -> int:
-    M = load_structure(args.structure)
-    phi = parse_formula(args.formula, M.signature)
+    from . import counting, logic, parser
+    M = logic.load_structure(args.structure)
+    phi = parser.parse_formula(args.formula, M.signature)
     fixed = {}
     repeated = set()
     for item in args.fix or []:
@@ -179,22 +176,23 @@ def _cmd_count(args) -> int:
                 repeated.add(name)
             fixed[name] = int(val)
     if repeated:
-        raise AssignmentError(
+        raise counting.AssignmentError(
             f"variables fixed more than once: {sorted(repeated)}")
     counted = args.count_vars.split(",") if args.count_vars else []
-    result = engine_count(phi, M, fixed, [v.strip() for v in counted],
-                          budget=args.budget)
+    result = counting.count(phi, M, fixed, [v.strip() for v in counted],
+                            budget=args.budget)
     _emit({"count": str(result.value)})
     return 0
 
 
 def _cmd_family(args) -> int:
-    family = get_family(args.name)
+    from . import families
+    family = families.get_family(args.name)
     if args.formula is not None:
         if args.out not in (None, "-"):
             raise PfdimError("--out writes the structure; "
                              "a --formula count goes to stdout")
-        at = FamilyAt(family, args.index)
+        at = families.FamilyAt(family, args.index)
         (phi, params), = at.conjunctions([(args.formula, args.selector)])
         result = at.count(phi, params, args.budget)
         _emit({"familyId": args.name, "index": args.index,
@@ -214,12 +212,13 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_dim_compare(args) -> int:
-    family = get_family(args.family)
+    from . import dimension, families
+    family = families.get_family(args.family)
     indices = _parse_indices(args.indices)
-    X = count_family(args.formula_x, family, indices,
-                     selector=args.selector_x, budget=args.budget)
-    Y = count_family(args.formula_y, family, indices,
-                     selector=args.selector_y, budget=args.budget)
+    X = families.count_family(args.formula_x, family, indices,
+                              selector=args.selector_x, budget=args.budget)
+    Y = families.count_family(args.formula_y, family, indices,
+                              selector=args.selector_y, budget=args.budget)
     verdict = dimension.delta_compare(X, Y, tau=args.tau)
     _emit(verdict.to_json_dict())
     return 0
@@ -231,7 +230,8 @@ def _parse_step(text: str):
 
 
 def _cmd_chain(args) -> int:
-    family = get_family(args.family)
+    from . import dimension, families
+    family = families.get_family(args.family)
     steps = [_parse_step(s) for s in args.step]
     report = dimension.chain_detect(family, steps,
                                     _parse_indices(args.indices),
@@ -241,7 +241,8 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    family = get_family(args.family)
+    from . import dimension, families
+    family = families.get_family(args.family)
     report = dimension.fmv_spectrum(family, args.formula,
                                     _parse_indices(args.indices),
                                     gamma=args.gamma)
@@ -290,7 +291,7 @@ def _cmd_abelian_count(args) -> int:
 def _cmd_vs_count(args) -> int:
     from . import vspace
     # the closed forms read only (q, dim): the structure is never built
-    space = families.vector_space_ambient(args.q, args.dim)
+    space = vspace.vector_space_ambient(args.q, args.dim)
     if args.coset_spec:
         if args.w is not None or args.wprime is not None:
             raise vspace.VSpaceError(
@@ -410,6 +411,8 @@ _BUDGET_HELP = ("step budget: assignments times quantifier visits "
 def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
     """Subcommand ``name``'s arguments on ``p``; ``func`` defaults to its
     implementation and ``command`` to ``name``, as the top parser sets it."""
+    if name in ("dim-compare", "chain", "spectrum"):
+        from . import dimension     # the --tau and --gamma defaults
     if name == "count":
         p.add_argument("--structure", required=True)
         p.add_argument("--formula", required=True)
@@ -532,11 +535,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ParseDiagnostic as diag:
-        print(f"parse error: {diag}", file=sys.stderr)
-        return 1
     except (PfdimError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a parser.ParseDiagnostic is labelled "parse error"
+        print(f"{getattr(exc, 'label', 'error')}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -21,19 +21,16 @@ Yannakakis's acyclic joins done a set at a time.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import Count, PfdimError
 from .logic import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
-                    Not, Or, PfdimError, Rel, Var, FiniteStructure,
-                    free_variables)
-
-NEG_INF = float("-inf")
+                    Not, Or, Rel, Var, FiniteStructure, free_variables)
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -50,22 +47,6 @@ class AssignmentError(PfdimError):
 def get_budget() -> int:
     env = os.environ.get("PFDIM_BUDGET")
     return int(env) if env else DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
-class Count:
-    """An exact nonnegative integer with its natural log (-inf for zero)."""
-
-    value: int
-    log_value: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("counts are nonnegative")
-        if self.log_value is None:
-            # math.log takes big ints directly without float conversion
-            lv = NEG_INF if self.value == 0 else math.log(self.value)
-            object.__setattr__(self, "log_value", lv)
 
 
 @dataclass(frozen=True)

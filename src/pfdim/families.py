@@ -44,17 +44,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
 from operator import mul
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .counting import CardinalitySequence, Count, compile_formula, get_budget
 from .logic import (And, Exists, FiniteStructure, Forall, Formula, Implies,
                     Not, Or, PfdimError, Rel, Signature, free_variables,
                     make_signature, rename_free)
 from .parser import identifiers, parse_formula, reads_alike
-
-if TYPE_CHECKING:
-    from .vspace import Ambient
 
 MAX_UNIVERSE = 200_000
 MAX_TABLE_ENTRIES = 2_000_000
@@ -798,21 +794,6 @@ def count_family(phi_text: str, family: FamilyHandle, indices: Sequence[int],
 THETA_TABLE_LIMIT = 200_000
 
 
-def vector_space_ambient(q: int, dim: int) -> Ambient:
-    """The coordinate view of GF(q)^dim, after the same checks as
-    ``make_vector_space``; the closed forms in ``vspace`` need nothing
-    more, so the structure itself is never built."""
-    from . import gf
-    from .vspace import Ambient
-    if q not in gf.SUPPORTED_Q:
-        raise FamilyError(f"q={q} is not a supported prime power")
-    if dim < 1 or dim > 6:
-        raise FamilyError("dim must be in 1..6")
-    if q ** dim > MAX_UNIVERSE:
-        raise FamilyError("vector sort exceeds size budget")
-    return Ambient(gf.make_field(q), dim)
-
-
 def make_vector_space(q: int, dim: int) -> FiniteStructure:
     """2-sorted structure (V, K): field tables, vector addition, scalar
     action, and independence relations theta1..theta<dim>.
@@ -820,8 +801,8 @@ def make_vector_space(q: int, dim: int) -> FiniteStructure:
     theta_n tables are materialized only while (q^dim)^n stays small;
     beyond that they are virtual relations computed by Gaussian rank.
     """
-    from . import gf
-    amb = vector_space_ambient(q, dim)
+    from . import gf, vspace
+    amb = vspace.vector_space_ambient(q, dim)
     F = amb.F
     nvec = amb.size
     vecs = [gf.vec_decode(v, q, dim) for v in range(nvec)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from .logic import PfdimError
+from . import PfdimError
 
 # irreducible polynomial coefficients (monic, low degree first, constant..x^k)
 _IRRED = {

@@ -9,11 +9,11 @@ word-map experiments need these without an external group library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import getitem, itemgetter
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .logic import PfdimError
+from . import PfdimError
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,27 @@ class Group:
             raise PfdimError(f"{self.name}: element 0 is not an identity")
 
 
+def _from_generators(name: str, elems: list, index: dict,
+                     times: Callable) -> Group:
+    """The group on ``elems`` (identity first) under ``times``; ``index``
+    gives each element's id.  The row of g*c is the row of g read through
+    the row of c, so ``times`` fills only the rows of the generators that a
+    closure from the identity needs: each element not reached yet."""
+    rows: list = [tuple(range(len(elems)))] + [None] * (len(elems) - 1)
+    gens, reached = [], [0]
+    for g in range(len(elems)):
+        if rows[g] is None:
+            gens.append(tuple(index[times(elems[g], b)] for b in elems))
+            rows[g] = gens[-1]
+            reached.append(g)
+            for c in reached:       # grows as the closure reaches more
+                for s in gens:
+                    if rows[s[c]] is None:
+                        rows[s[c]] = tuple(map(s.__getitem__, rows[c]))
+                        reached.append(s[c])
+    return Group(name, len(rows), tuple(rows), tuple(r.index(0) for r in rows))
+
+
 def _perm_group(name: str, perms: List[tuple]) -> Group:
     """Group from a list of permutation tuples; identity must come first
     after sorting puts it there."""
@@ -38,16 +59,9 @@ def _perm_group(name: str, perms: List[tuple]) -> Group:
     index = {p: i for i, p in enumerate(perms)}
 
     def compose(a, b):  # (a*b)(x) = a(b(x))
-        return tuple(a[b[i]] for i in range(len(a)))
+        return tuple(map(a.__getitem__, b))
 
-    mul = tuple(tuple(index[compose(a, b)] for b in perms) for a in perms)
-    inv = []
-    for p in perms:
-        q = [0] * len(p)
-        for i, v in enumerate(p):
-            q[v] = i
-        inv.append(index[tuple(q)])
-    return Group(name, len(perms), mul, tuple(inv))
+    return _from_generators(name, perms, index, compose)
 
 
 # C<k> has a k^2 table: at the limit, as large as a homocyclic group's
@@ -58,30 +72,17 @@ CYCLIC_ORDER_LIMIT = 1024
 def _cyclic(k: int) -> Group:
     if not 1 <= k <= CYCLIC_ORDER_LIMIT:
         raise PfdimError(f"C{k}: the order must be 1..{CYCLIC_ORDER_LIMIT}")
-    mul = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
+    r = tuple(range(k))
+    mul = tuple(r[a:] + r[:a] for a in r)     # row a is (a + b) % k
     inv = tuple((-a) % k for a in range(k))
     return Group(f"C{k}", k, mul, inv)
 
 
 def _alternating(n: int) -> Group:
-    evens = [p for p in permutations(range(n)) if _parity(p) == 0]
+    # an even permutation has an even number of inversions
+    evens = [p for p in permutations(range(n))
+             if not sum(p[i] > p[j] for i, j in combinations(range(n), 2)) % 2]
     return _perm_group(f"A{n}", evens)
-
-
-def _parity(p) -> int:
-    par = 0
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        par ^= (length - 1) & 1
-    return par
 
 
 def _psl27() -> Group:
@@ -97,10 +98,8 @@ def _psl27() -> Group:
     ident = (1, 0, 0, 1)
     mats.remove(ident)
     mats.insert(0, ident)
-    index = {}
-    for i, m in enumerate(mats):
-        index[m] = i
-        index[tuple((-x) % p for x in m)] = i
+    index = {rep: i for i, m in enumerate(mats)
+             for rep in (m, tuple((-x) % p for x in m))}
 
     def mmul(x, y):
         a, b, c, d = x
@@ -108,11 +107,7 @@ def _psl27() -> Group:
         return ((a * e + b * g) % p, (a * f + b * h) % p,
                 (c * e + d * g) % p, (c * f + d * h) % p)
 
-    mul = tuple(tuple(index[mmul(x, y)] for y in mats) for x in mats)
-    inv = []
-    for a, b, c, d in mats:
-        inv.append(index[(d % p, (-b) % p, (-c) % p, a % p)])
-    return Group("PSL(2,7)", len(mats), mul, tuple(inv))
+    return _from_generators("PSL(2,7)", mats, index, mmul)
 
 
 _BUILTIN = {}
@@ -166,14 +161,29 @@ class WIdent:
 WordExpr = Union[WVar, WInv, WMul, WIdent]
 
 
+def _subwords(w: WordExpr) -> List[WordExpr]:
+    """The distinct subwords of ``w``, each after its parts, found without
+    recursion.  They are told apart as objects: a parsed word holds each
+    variable, and each operand of a commutator, once."""
+    order: List[WordExpr] = []
+    seen, stack = set(), [(w, False)]
+    while stack:
+        s, parts_done = stack.pop()
+        if parts_done:
+            order.append(s)
+        elif id(s) not in seen:
+            seen.add(id(s))
+            stack.append((s, True))
+            if isinstance(s, WMul):
+                stack += ((s.right, False), (s.left, False))
+            elif isinstance(s, WInv):
+                stack.append((s.body, False))
+    return order
+
+
 def word_arity(w: WordExpr) -> int:
-    if isinstance(w, WVar):
-        return w.index
-    if isinstance(w, WInv):
-        return word_arity(w.body)
-    if isinstance(w, WMul):
-        return max(word_arity(w.left), word_arity(w.right))
-    return 0
+    return max((s.index for s in _subwords(w) if isinstance(s, WVar)),
+               default=0)
 
 
 def eval_word(w: WordExpr, G: Group, args: Sequence[int]) -> int:
@@ -189,13 +199,18 @@ def eval_word(w: WordExpr, G: Group, args: Sequence[int]) -> int:
 
 
 _WORD_VARS = "xyzw"
+# one object per variable, so a parsed word holds each variable once
+_VARIABLE = {t: WVar(i + 1) for i, t in enumerate(_WORD_VARS)}
+
+# how deep parentheses and brackets may nest: the parser recurses on each
+MAX_WORD_NESTING = 200
 
 
 def parse_word(text: str) -> WordExpr:
     """Tiny word grammar: variables x,y,z,w; ``*`` for product, ``^-1`` for
     inverse, parentheses, and ``[a,b]`` for the commutator a b a^-1 b^-1."""
     tokens = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
@@ -203,6 +218,10 @@ def parse_word(text: str) -> WordExpr:
         elif ch in _WORD_VARS or ch in "()*[],":
             tokens.append(ch)
             i += 1
+            depth += (ch in "([") - (ch in ")]")
+            if depth > MAX_WORD_NESTING:
+                raise PfdimError(
+                    f"word nests deeper than {MAX_WORD_NESTING} levels")
         elif text.startswith("^-1", i):
             tokens.append("^-1")
             i += 3
@@ -238,7 +257,7 @@ class _WordParser:
     def factor(self) -> WordExpr:
         t = self.take()
         if t in _WORD_VARS:
-            e: WordExpr = WVar(_WORD_VARS.index(t) + 1)
+            e: WordExpr = _VARIABLE[t]
         elif t == "(":
             e = self.term()
             self.take(")")
@@ -264,46 +283,59 @@ class _WordParser:
         return e
 
 
-def _word_row(w: WordExpr, G: Group, args: Sequence[int], row: List[int]):
-    """``w`` evaluated with x_1..x_(d-1) fixed to ``args`` and x_d running
-    over ``row``: the list of values for a subword that reads x_d, else
-    one element."""
-    if isinstance(w, WVar):
-        return row if w.index == len(args) + 1 else args[w.index - 1]
-    if isinstance(w, WInv):
-        v = _word_row(w.body, G, args, row)
-        if isinstance(v, int):
-            return G.inv[v]
-        return list(map(G.inv.__getitem__, v))
-    if isinstance(w, WMul):
-        a = _word_row(w.left, G, args, row)
-        b = _word_row(w.right, G, args, row)
-        if isinstance(a, int):
-            if isinstance(b, int):
-                return G.mul[a][b]
-            return list(map(G.mul[a].__getitem__, b))
-        rows = map(G.mul.__getitem__, a)
-        if isinstance(b, int):
-            return list(map(itemgetter(b), rows))
-        return list(map(getitem, rows, b))
-    if isinstance(w, WIdent):
-        return 0
-    raise TypeError(f"not a word: {w!r}")
-
-
 def word_image(w: WordExpr, G: Group, budget: int = 10 ** 8) -> FrozenSet[int]:
-    """Exact image set {w(g_1..g_d)} by enumeration over G^d, one row at a
-    time: g_1..g_(d-1) fixed and g_d running over G.  Stops once the image
-    is all of G."""
-    d = word_arity(w)
+    """Exact image set {w(g_1..g_d)} by enumeration over G^d, a row at a
+    time (g_1..g_(d-1) fixed, g_d running over G), until it is all of G.
+    Each distinct subword is evaluated once per row, in an order worked out
+    once, or once in all if it reads none of g_1..g_(d-1)."""
+    order = _subwords(w)
+    d = max((s.index for s in order if isinstance(s, WVar)), default=0)
     if d == 0:
         return frozenset({0})
     if G.n ** d > budget:
         raise PfdimError(f"word image enumeration |G|^{d} exceeds budget")
-    last = list(range(G.n))
+    mul, inv = G.mul, G.inv
+    # an inverse and a product, by which operands are rows (the values of
+    # a subword that reads g_d, over G) and which are elements
+    invert = (lambda e, _: inv[e], lambda r, _: list(map(inv.__getitem__, r)))
+    times = (lambda e, f: mul[e][f],
+             lambda e, r: list(map(mul[e].__getitem__, r)),
+             lambda r, f: list(map(itemgetter(f), map(mul.__getitem__, r))),
+             lambda r, s: list(map(getitem, map(mul.__getitem__, r), s)))
+    slot = {id(s): i for i, s in enumerate(order)}
+    vals: list = [0] * len(order)
+    row = [False] * len(order)       # the subword reads g_d
+    moves = [False] * len(order)     # it reads one of g_1..g_(d-1)
+    arg_slots, once, each_row = [], [], []
+    for i, s in enumerate(order):
+        if isinstance(s, WVar):
+            if s.index == d:
+                vals[i], row[i] = list(range(G.n)), True
+            else:
+                arg_slots.append((i, s.index - 1))
+                moves[i] = True
+            continue
+        if isinstance(s, WInv):
+            a = b = slot[id(s.body)]
+            f = invert[row[a]]
+        elif isinstance(s, WMul):
+            a, b = slot[id(s.left)], slot[id(s.right)]
+            f = times[2 * row[a] + row[b]]
+        elif isinstance(s, WIdent):
+            continue
+        else:
+            raise TypeError(f"not a word: {s!r}")
+        row[i], moves[i] = row[a] or row[b], moves[a] or moves[b]
+        (each_row if moves[i] else once).append((i, f, a, b))
+    for i, f, a, b in once:
+        vals[i] = f(vals[a], vals[b])
     out = set()
     for args in product(range(G.n), repeat=d - 1):
-        out.update(_word_row(w, G, args, last))
+        for i, k in arg_slots:
+            vals[i] = args[k]
+        for i, f, a, b in each_row:
+            vals[i] = f(vals[a], vals[b])
+        out.update(vals[-1])
         if len(out) == G.n:
             break
     return frozenset(out)

@@ -13,9 +13,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, List, Mapping, Optional, Tuple, Union
 
-
-class PfdimError(Exception):
-    """Base class for all library errors."""
+from . import PfdimError
 
 
 class SignatureError(PfdimError):

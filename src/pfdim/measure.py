@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
-from .families import FamilyError, FamilyHandle, family_sequence
-from .logic import PfdimError
+from . import PfdimError
+
+if TYPE_CHECKING:
+    from .families import FamilyHandle
 
 K_CAP = 5
 N_CAP = 24
@@ -113,6 +115,8 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
     """Exact ratios |X ∩ D| / |D| at the sorted distinct indices, where D
     and X are definable sets of single elements (parameters fixed by the
     named selectors) in the same counted variable."""
+    from . import families
+
     def ratio(at):
         (phi_d, _), (phi_xd, params) = at.conjunctions(
             [(d_formula, d_selector), (x_formula, x_selector)])
@@ -125,13 +129,13 @@ def mu_D_sequence(family: FamilyHandle, d_formula: str, x_formula: str,
         try:
             cd = at.count(phi_d, params)
             cxd = at.count(phi_xd, params)
-        except FamilyError as exc:
+        except families.FamilyError as exc:
             raise MeasureError(str(exc)) from exc
         if cd.value == 0:
             raise MeasureError("D is empty")
         return Fraction(cxd.value, cd.value)
 
-    return [r for _, r in family_sequence(family, indices, ratio)]
+    return [r for _, r in families.family_sequence(family, indices, ratio)]
 
 
 # ---------------------------------------------------------------------------

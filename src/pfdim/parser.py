@@ -33,6 +33,7 @@ class ParseDiagnostic(PfdimError):
     column: int
     message: str
     expected: Tuple[str, ...] = ()
+    label = "parse error"     # what cli.main prints before the message
 
     def __post_init__(self):
         # kept in ``args``, so a caller's prefix (the index) is printed too

@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import gf
-from .counting import Count
-from .logic import FiniteStructure, PfdimError
+from . import Count, PfdimError, gf
+
+if TYPE_CHECKING:
+    from .logic import FiniteStructure
 
 
 class VSpaceError(PfdimError):
@@ -135,7 +136,24 @@ class Ambient:
 
 # the closed forms below read nothing of a materialized structure but its
 # sort sizes, so they take the coordinate view itself as well
-Space = Union[FiniteStructure, Ambient]
+Space = Union["FiniteStructure", Ambient]
+
+
+# at most this many vectors, the bound families.MAX_UNIVERSE puts on any sort
+MAX_VECTORS = 200_000
+
+
+def vector_space_ambient(q: int, dim: int) -> Ambient:
+    """The coordinate view of GF(q)^dim, after the checks that
+    ``families.make_vector_space`` makes too; the closed forms here need
+    nothing more, so the structure itself is never built."""
+    if q not in gf.SUPPORTED_Q:
+        raise VSpaceError(f"q={q} is not a supported prime power")
+    if dim < 1 or dim > 6:
+        raise VSpaceError("dim must be in 1..6")
+    if q ** dim > MAX_VECTORS:
+        raise VSpaceError("vector sort exceeds size budget")
+    return Ambient(gf.make_field(q), dim)
 
 
 def ambient_of(space: Space) -> Ambient:

@@ -1,15 +1,19 @@
 """Group words, word images, and triple-product covering."""
 
 import gc
+import hashlib
+import json
+import time
 from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pfdim import groups
-from pfdim.groups import (Group, WIdent, WInv, WMul, WVar, builtin_group,
-                          eval_word, parse_word, triple_product_covers,
-                          word_arity, word_image)
+from pfdim.cli import main
+from pfdim.groups import (MAX_WORD_NESTING, Group, WIdent, WInv, WMul, WVar,
+                          builtin_group, eval_word, parse_word,
+                          triple_product_covers, word_arity, word_image)
 from pfdim.logic import PfdimError
 
 
@@ -38,6 +42,26 @@ class TestGroupTables:
     def test_unknown_group(self):
         with pytest.raises(PfdimError):
             builtin_group("M11")
+
+    # sha256(repr((mul, inv))), first 16 hex digits, of each table as it was
+    # built a product at a time: the rows built from generator rows, and so
+    # every printed element id, are the same
+    @pytest.mark.parametrize("name,digest", [
+        ("S3", "a573c6ff598395cb"), ("S4", "594d74a5c5e9014a"),
+        ("A4", "7a31dcd44f2eb25a"), ("A5", "3344b59c5ccbd20d"),
+        ("PSL(2,7)", "3068e7d6818a04bb"),
+    ])
+    def test_table_digest(self, name, digest):
+        G = builtin_group(name)
+        text = repr((G.mul, G.inv)).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("k", list(range(1, 65)) + [1024])
+    def test_cyclic_table(self, k):
+        G = builtin_group(f"C{k}")
+        assert G.mul == tuple(tuple((a + b) % k for b in range(k))
+                              for a in range(k))
+        assert G.inv == tuple((-a) % k for a in range(k))
 
 
 class TestWords:
@@ -174,6 +198,95 @@ class TestWordImageByRows:
         G = builtin_group("S4")
         assert word_image(parse_word("x*y*z"), G) == frozenset(range(G.n))
         assert rows == [(0, 0)]
+
+
+@st.composite
+def shared_words(draw):
+    """A word whose subwords are used again: each step inverts, multiplies
+    or takes the commutator of any subwords built so far, the same
+    objects."""
+    parts = [WVar(i) for i in range(1, draw(st.integers(1, 2)) + 1)]
+    parts.append(WIdent())
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["inv", "mul", "commutator"]))
+        a, b = draw(st.sampled_from(parts)), draw(st.sampled_from(parts))
+        parts.append(WInv(a) if kind == "inv" else
+                     WMul(a, b) if kind == "mul" else commutator(a, b))
+    return parts[-1]
+
+
+class TestSharedSubwords:
+    """``word_image`` evaluates each distinct subword once per row;
+    ``eval_word`` evaluates every occurrence, the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_words(), st.one_of(
+        st.sampled_from(["S3", "A4", "C5"]).map(builtin_group), magmas()))
+    @example(parse_word("[[x,y],[y,[x,y]]]"), builtin_group("S3"))
+    @example(parse_word("[x,[x,[x,y^-1]]]*[x,y]"), builtin_group("A4"))
+    def test_matches_tuple_enumeration(self, w, G):
+        d = word_arity(w)
+        want = {eval_word(w, G, a) for a in product(range(G.n), repeat=d)}
+        assert word_image(w, G) == want
+
+    def test_a_parsed_word_holds_each_variable_once(self):
+        w = parse_word("x*y*x^-1*y")     # ((x*y)*x^-1)*y
+        assert w.right is w.left.left.right
+        assert w.left.right.body is w.left.left.left
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestWordLimits:
+    """Deep or long words are answered, or refused, without a
+    ``RecursionError``, and in time linear in the word."""
+
+    def test_nesting_past_the_bound_is_refused(self, capsys):
+        deep = "(" * 1000 + "x" + ")" * 1000
+        code, out, err = run(capsys, "word-image", "--group", "S3",
+                             "--word", deep)
+        assert (code, out) == (1, "")
+        assert err == (f"error: word nests deeper than {MAX_WORD_NESTING} "
+                       "levels\n")
+
+    @pytest.mark.parametrize("open_,close", [("(", ")"), ("[x,", "]")])
+    def test_nesting_up_to_the_bound(self, open_, close):
+        depth = MAX_WORD_NESTING
+        assert word_arity(parse_word(open_ * depth + "y" + close * depth)) == 2
+        with pytest.raises(PfdimError, match="nests deeper"):
+            parse_word(open_ * (depth + 1) + "y" + close * (depth + 1))
+
+    def test_a_5001_factor_product(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "word-image", "--group", "S3",
+                           "--word", "*".join(["x"] * 5001))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        # x^5001 = x^3 in S3, whose exponent is 6
+        want = word_image(parse_word("x*x*x"), builtin_group("S3"))
+        assert json.loads(out)["image"] == sorted(want)
+
+    def test_a_commutator_nested_20_deep(self, capsys):
+        word = "y"
+        for _ in range(20):
+            word = f"[x,{word}]"
+        assert len(word) == 81
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "word-image", "--group", "S3",
+                           "--word", word)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        G = builtin_group("S3")
+        want = set()
+        for a, b in product(range(G.n), repeat=2):
+            for _ in range(20):
+                b = G.mul[G.mul[G.mul[a][b]][G.inv[a]]][G.inv[b]]
+            want.add(b)
+        assert json.loads(out)["image"] == sorted(want)
 
 
 BUILTIN = ("C1", "C2", "C6", "C12", "S3", "A4", "S4", "A5", "PSL(2,7)")

@@ -84,6 +84,7 @@ def command(argv) -> set:
 
 
 ORACLES = {"abelian", "groups", "vspace", "gf", "measure"}
+FORMULA_STACK = {"logic", "parser", "counting", "families", "dimension"}
 
 
 @pytest.fixture
@@ -155,6 +156,24 @@ class TestWhatEachCommandLoads:
         assert "groups" in loaded
         assert not loaded & {"abelian", "vspace", "gf", "measure"}
 
+    @pytest.mark.parametrize("argv,module", [
+        (["abelian-count", "--p", "2", "--n", "2", "--m", "1",
+          "--formula", "1*x1 = 0"], "abelian"),
+        (["vs-count", "--q", "2", "--dim", "2", "--w", "1"], "vspace"),
+        (["word-image", "--group", "PSL(2,7)", "--word", "[x,y]",
+          "--triple"], "groups"),
+        (["measure-kcap", "--space", "{space}", "--k", "2"], "measure"),
+        (["pairwise-check", "--space", "{space}", "--eps", "1/2"], "measure"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_closed_form_commands_load_no_formula_stack(self, tmp_path,
+                                                        argv, module):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"weights": ["1/2", "1/2"],
+                                     "events": [[0], [0, 1], [0], [0]]}))
+        loaded = command([a.format(space=space) for a in argv])
+        assert module in loaded
+        assert not loaded & FORMULA_STACK
+
 
 class TestNamespace:
     def test_95_names(self):
@@ -182,6 +201,11 @@ class TestNamespace:
             + ["assert pfdim.families.FamilyAt.__module__ == 'pfdim.families'",
                "assert pfdim.gf.make_field(4).q == 4"])
         assert set(probe(statements)["after"]) == set(SUBMODULES)
+
+    def test_the_shared_types_load_no_submodule(self):
+        result = probe("assert pfdim.Count(8).value == 8\n"
+                       "assert issubclass(pfdim.PfdimError, Exception)")
+        assert result["after"] == []
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="'pfdim' has no attribute "

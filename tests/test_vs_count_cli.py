@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from pfdim import families, vspace
 from pfdim.cli import main
-from pfdim.families import make_vector_space, vector_space_ambient
+from pfdim.families import make_vector_space
+from pfdim.vspace import vector_space_ambient
 from pfdim.vspace import ambient_of
 
 # every (q, dim) with q^dim <= 27, small enough to materialize and enumerate

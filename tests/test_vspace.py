@@ -7,8 +7,9 @@ import pytest
 
 from pfdim.families import make_vector_space
 from pfdim.gf import vec_add, vec_scale
-from pfdim.vspace import (Coset, VFPolynomial, ZERO, ambient_of,
-                          count_coset_difference, count_theta_case)
+from pfdim.vspace import (MAX_VECTORS, Coset, VFPolynomial, VSpaceError,
+                          ZERO, ambient_of, count_coset_difference,
+                          count_theta_case, vector_space_ambient)
 
 
 def all_vectors(amb):
@@ -114,3 +115,23 @@ class TestCosetDifference:
         assert got.count.value == 8 - 4
         # V - F^2 as a polynomial
         assert got.poly.evaluate(8, 2) == 4
+
+
+class TestAmbientChecks:
+    """The checks on (q, dim) live in ``vspace``, so the closed forms and
+    ``make_vector_space`` refuse alike."""
+
+    @pytest.mark.parametrize("q,dim,message", [
+        (6, 2, "q=6 is not a supported prime power"),
+        (2, 7, "dim must be in 1..6"), (2, 0, "dim must be in 1..6"),
+        (9, 6, "vector sort exceeds size budget"),
+    ])
+    def test_refused(self, q, dim, message):
+        for build in (vector_space_ambient, make_vector_space):
+            with pytest.raises(VSpaceError) as info:
+                build(q, dim)
+            assert str(info.value) == message
+
+    def test_the_bound_on_the_vector_sort(self):
+        assert 9 ** 5 <= MAX_VECTORS < 9 ** 6
+        assert vector_space_ambient(9, 5).size == 9 ** 5
