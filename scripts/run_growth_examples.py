@@ -35,10 +35,11 @@ def main(argv=None):
                           "exists z:S. E(x, z) & E(z, y)")):
         out[key] = []
         for t in (1, 2):
+            memo: dict = {}     # X and Y are one request, as in dim-compare
             X = count_family(formula, fam, indices,
-                             selector=f"class-rank-{t}")
+                             selector=f"class-rank-{t}", memo=memo)
             Y = count_family(formula, fam, indices,
-                             selector=f"class-rank-{t + 1}")
+                             selector=f"class-rank-{t + 1}", memo=memo)
             v = delta_compare(X, Y)
             out[key].append({"t": t, "formula": formula,
                              "classification": v.classification})

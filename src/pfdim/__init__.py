@@ -27,13 +27,15 @@ class Count:
     value: int
     log_value: float = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int, log_value: float = None):  # type: ignore
+        # written out: the generated __init__ and __post_init__ are slower
+        if value < 0:
             raise ValueError("counts are nonnegative")
-        if self.log_value is None:
+        if log_value is None:
             # math.log takes big ints directly without float conversion
-            lv = -math.inf if self.value == 0 else math.log(self.value)
-            object.__setattr__(self, "log_value", lv)
+            log_value = -math.inf if value == 0 else math.log(value)
+        fields = self.__dict__    # frozen: set here only
+        fields["value"], fields["log_value"] = value, log_value
 
 
 # every submodule, with the public names it defines

@@ -215,10 +215,13 @@ def _cmd_dim_compare(args) -> int:
     from . import dimension, families
     family = families.get_family(args.family)
     indices = _parse_indices(args.indices)
+    memo: dict = {}     # one request: each index is built once
     X = families.count_family(args.formula_x, family, indices,
-                              selector=args.selector_x, budget=args.budget)
+                              selector=args.selector_x, budget=args.budget,
+                              memo=memo)
     Y = families.count_family(args.formula_y, family, indices,
-                              selector=args.selector_y, budget=args.budget)
+                              selector=args.selector_y, budget=args.budget,
+                              memo=memo)
     verdict = dimension.delta_compare(X, Y, tau=args.tau)
     _emit(verdict.to_json_dict())
     return 0
@@ -484,7 +487,8 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--triple", action="store_true",
                        help="also check whether image^3 covers the group")
         p.add_argument("--budget", type=int, default=10 ** 8,
-                       help="word-evaluation budget (default 10^8)")
+                       help="word-evaluation budget: bounds |G|^d and the "
+                       "table entries the enumeration computes (default 10^8)")
     p.set_defaults(func=_COMMANDS[name][1], command=name)
 
 

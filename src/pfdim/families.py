@@ -28,19 +28,19 @@ one plus the quantifier-loop visits per evaluation.
 
 Every formula text is parsed by ``FamilyAt.conjunctions``, and every count
 sequence loops over its indices in ``family_sequence`` (``count_family``
-for one formula).  A request is parsed once and compiled once per shape of
-M': the ``FamilyAt``s of one ``family_sequence`` call share one memo, which
-keeps the parsed steps (a parse stands at every index whose signature
-resolves the texts' names alike), each formula's free variables and binder
-depths, and per shape the compiled formula and its truth at each type.
-The shape stops depending on n once every class size exceeds r.  A
-spectrum is one such count per class size, and the class sizes whose M'
-has one shape share that shape's compiled formula and truths.
+for one formula).  The ``FamilyAt``s of one request (``dim-compare``'s two
+sequences are one) share one memo, which keeps each index's summary and
+signature; the parsed steps (a parse stands at every index whose signature
+resolves the texts' names alike); per formula and parameter names a plan
+(counted variables, k, r, binder depths); M' per shape; and per plan and
+shape the compiled formula and its truth at each type.  The shape stops
+depending on n once every class size exceeds r.  A spectrum is one count
+per class size, and the sizes whose M' has one shape share its truths.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
 from operator import mul
@@ -79,6 +79,12 @@ class ElemRef:
     offset: int
     global_id: int
 
+    def __init__(self, class_index: int, offset: int, global_id: int):
+        # written out, as Count's is: the generated one takes 1.7 times as long
+        fields = self.__dict__
+        fields["class_index"], fields["offset"] = class_index, offset
+        fields["global_id"] = global_id
+
 
 @dataclass(frozen=True)
 class EquivSummary:
@@ -92,15 +98,16 @@ class EquivSummary:
     _first: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # every tuple here and on the per-index path is built from a list,
-        # at its exact size: one grown from an iterator of unknown length
-        # can stay parked in CPython's tuple free lists until a full
-        # collection, so peak memory would depend on when the gc runs
-        object.__setattr__(self, "_first", tuple(
-            list(accumulate(self.mults, initial=0))))
-        object.__setattr__(self, "_starts", tuple(list(
-            accumulate(map(mul, self.sizes, self.mults), initial=0))))
+    def __init__(self, sizes: Tuple[int, ...], mults: Tuple[int, ...]):
+        # written out, as ElemRef's is.  Every tuple here and on the per-index
+        # path is built from a list, at its exact size: one grown from an
+        # iterator can stay parked in CPython's tuple free lists until a
+        # full collection, so peak memory would depend on when the gc runs
+        fields = self.__dict__
+        fields["sizes"], fields["mults"] = sizes, mults
+        fields["_first"] = tuple(list(accumulate(mults, initial=0)))
+        fields["_starts"] = tuple(list(
+            accumulate(map(mul, sizes, mults), initial=0)))
 
     @property
     def runs(self) -> Tuple[Tuple[int, int], ...]:
@@ -127,9 +134,6 @@ class EquivSummary:
     def class_size(self, ci: int) -> int:
         return self._locate(ci)[0]
 
-    def class_start(self, ci: int) -> int:
-        return self._locate(ci)[1]
-
     def element(self, ci: int, offset: int = 0) -> ElemRef:
         size, start = self._locate(ci)
         if not 0 <= offset < size:
@@ -138,17 +142,10 @@ class EquivSummary:
 
     def first_class(self, size: int) -> Optional[int]:
         """The index of the first class of ``size``, or None."""
-        try:
-            return self._first[self.sizes.index(size)]
-        except ValueError:
-            return None
-
-    def first_classes(self) -> Dict[int, int]:
-        """Each distinct class size -> the index of its first class."""
-        first: Dict[int, int] = {}
-        for size, ci in zip(self.sizes, self._first):
-            first.setdefault(size, ci)
-        return first
+        j = bisect_left(self.sizes, size)
+        if j < len(self.sizes) and self.sizes[j] == size:
+            return self._first[j]
+        return None
 
     def kept(self, r: int, counts: bool
              ) -> Dict[int, Tuple[Optional[Dict[int, int]], int, int]]:
@@ -296,10 +293,9 @@ def family_summary(family: FamilyHandle, index: int):
                           f"over the limit of {MAX_SUMMARY_BITS}")
     if fid in _EQUIV_FAMILIES:
         return EquivSummary(*_EQUIV_FAMILIES[fid](index))
-    return NestedPredSummary(
-        total=index ** index,
-        pred_sizes=tuple([index ** (index - i)
-                          for i in range(1, index + 1)]))
+    # |P_i| = n^(n - i) for i = 1..n, and n^n, by multiplication
+    powers = list(accumulate(repeat(index, index), mul, initial=1))
+    return NestedPredSummary(powers.pop(), tuple(powers[::-1]))
 
 
 def family_signature(family: FamilyHandle, index: int) -> Signature:
@@ -392,73 +388,74 @@ def _facts(phi, memo: dict) -> tuple:
     return facts
 
 
-def _equiv_model(summary: EquivSummary, params: Dict[str, ElemRef], r: int,
-                 k: int):
+def _equiv_model(summary: EquivSummary, params: Dict[str, ElemRef],
+                 kept: Sequence[str], r: int, k: int):
     """The small model of an equivalence family for ``k`` counted
-    variables as ``(sizes, (cells, spare, elements), fixed)``: the sizes
-    of the classes of M' in layout order; for each class holding a
-    parameter, ``(first element, actual size, elements used)``; for each
-    size t the other classes are cut to, ``(first elements of its
-    classes in M', {actual size: untouched classes}, untouched classes,
-    their elements)``, the dict only when k > 1, since only a variable
-    before the last reads it; the parameters' distinct elements in M',
-    and each parameter's element."""
-    offsets: Dict[int, List[int]] = {}
-    for ref in params.values():
-        offs = offsets.setdefault(ref.class_index, [])
+    variables and the parameters ``kept`` as ``(sizes, fixed, (cells,
+    spare, elements))``: the sizes of the classes of M' in layout order;
+    each parameter's element in M'; for each class holding a parameter,
+    ``(first element, actual size, elements used)``; for each size t the
+    other classes are cut to, ``(first elements of its classes in M',
+    {actual size: untouched classes}, untouched classes, their
+    elements)``, the dict only when k > 1, since only a variable before
+    the last reads it; and the parameters' distinct elements in M'."""
+    held: Dict[int, list] = {}    # class -> its parameters' offsets
+    for v in kept:
+        ref = params[v]
+        offs = held.setdefault(ref.class_index, [])
         if ref.offset not in offs:
             offs.append(ref.offset)
     groups = summary.kept(r, k > 1)    # t -> (counts, classes, elements)
-    sizes: List[int] = []
-    cells = []
-    where: Dict[Tuple[int, int], int] = {}
+    sizes, cells, elems, fixed = [], [], [], []
+    first, runs = summary._first, summary.sizes
     start = 0
-    for ci in sorted(offsets):
-        offs = sorted(offsets[ci])
-        size = summary.class_size(ci)
+    for ci in sorted(held) if len(held) > 1 else held:
+        size = runs[bisect_right(first, ci) - 1]
         t = size if size < r else r
         counts, classes, elements = groups[t]
         if k > 1:
             counts = {**counts, size: counts[size] - 1}
-        groups[t] = (counts, classes - 1, elements - size)
-        for off in offs:
-            where[ci, off] = start
-            start += 1
-        cells.append((start - len(offs), size, len(offs)))
-        kept = min(size, len(offs) + r)
-        sizes.append(kept)
-        start += kept - len(offs)
+        groups[t] = counts, classes - 1, elements - size
+        offs = held[ci]
+        used = len(offs)
+        held[ci] = start, offs
+        cells.append((start, size, used))
+        elems += range(start, start + used)
+        used += r
+        sizes.append(size if size < used else used)
+        start += sizes[-1]
     spare = []
     for t, (counts, classes, elements) in groups.items():
-        kept = classes if classes < r else r
-        if kept:
-            spare.append((range(start, start + kept * t, t), counts,
-                          classes, elements))
-            sizes += [t] * kept
-            start += kept * t
-    fixed = {v: where[ref.class_index, ref.offset]
-             for v, ref in params.items()}
-    return tuple(sizes), (tuple(cells), tuple(spare),
-                          tuple(where.values())), fixed
+        n = classes if classes < r else r
+        if n:
+            spare.append((range(start, start + n * t, t), counts, classes,
+                          elements))
+            sizes += [t] * n
+            start += n * t
+    for v in kept:
+        ref = params[v]
+        begin, offs = held[ref.class_index]
+        fixed.append(begin + offs.index(ref.offset))
+    return tuple(sizes), tuple(fixed), (cells, spare, elems)
 
 
 def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
-                r: int, names: Sequence[str]):
-    """The small model of a nested-predicate family as ``(bands, (cells,
-    (), elements), fixed)``.  Levels that the predicates ``names``
+                kept: Sequence[str], r: int, names: Sequence[str]):
+    """The small model of a nested-predicate family as ``(bands, fixed,
+    (cells, (), elements))``.  Levels that the predicates ``names``
     (``P<k>``, k increasing) do not tell apart form one band: band j holds
     the elements in the j-th named predicate (every element for j = 0)
     but not the next.  ``bands`` lists each nonempty band, the deepest
     first as ``generate`` lays out the levels, as ``(j, elements in
-    M')``; ``cells`` has ``(first element, actual size, elements used)``
-    for each; ``elements`` the parameters' distinct elements in M', and
-    ``fixed`` each parameter's."""
+    M')``; ``fixed`` has each parameter's element in M', ``cells`` ``(first
+    element, actual size, elements used)`` for each band, and
+    ``elements`` the parameters' distinct elements in M'."""
     bounds = ([summary.total]
               + [summary.pred_sizes[int(name[1:]) - 1] for name in names]
               + [0])
     ids: Dict[int, List[int]] = {}
-    for ref in params.values():
-        g = ref.global_id
+    for v in kept:
+        g = params[v].global_id
         same = ids.setdefault(sum(1 for b in bounds[1:] if g < b), [])
         if g not in same:
             same.append(g)
@@ -475,8 +472,8 @@ def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
             cells.append((start, size, len(here)))
             bands.append((j, min(size, len(here) + r)))
             start += bands[-1][1]
-    fixed = {v: where[ref.global_id] for v, ref in params.items()}
-    return tuple(bands), (tuple(cells), (), tuple(where.values())), fixed
+    return (tuple(bands), tuple([where[params[v].global_id] for v in kept]),
+            (cells, (), list(where.values())))
 
 
 def _equiv_structure(sizes: Sequence[int]) -> FiniteStructure:
@@ -500,13 +497,12 @@ def _pred_structure(sig: Signature, total: int,
         functions={}, constants={})
 
 
-def _small_structure(names: Tuple[str, ...], shape: tuple) -> FiniteStructure:
+def _small_structure(names: Optional[tuple], shape: tuple) -> FiniteStructure:
     """M' of one shape: classes of the sizes ``shape`` when ``names`` is
-    ``("E",)``, else the bands ``shape`` of ``_pred_model`` over the
-    predicates ``names`` only (the reduct of the family's signature that
-    phi reads), the j-th holding on the bands from j + 1 on, which come
-    first."""
-    if names == ("E",):
+    None, else the bands ``shape`` of ``_pred_model`` over the predicates
+    ``names`` only (the reduct of the family's signature that phi reads),
+    the j-th holding on the bands from j + 1 on, which come first."""
+    if names is None:
         return _equiv_structure(shape)
     kept = [0] * (len(names) + 1)
     for j, size in shape:
@@ -526,28 +522,17 @@ def _choices(cells, spare, elems):
         if used < size:
             e = start + used
             yield e, size - used, (
-                cells[:j] + ((start, size, used + 1),) + cells[j + 1:],
-                spare, elems + (e,))
+                (*cells[:j], (start, size, used + 1), *cells[j + 1:]),
+                spare, (*elems, e))
     for j, (starts, counts, classes, elements) in enumerate(spare):
         for s, c in counts.items():
             if c:
                 e = starts[0]
                 group = (starts[1:], {**counts, s: c - 1}, classes - 1,
                          elements - s)
-                yield e, s * c, (cells + ((e, s, 1),),
-                                 spare[:j] + (group,) + spare[j + 1:],
-                                 elems + (e,))
-
-
-def _last_choices(cells, spare, elems) -> List[Tuple[int, int]]:
-    """``(element in M', weight)`` for each choice of the last counted
-    variable; the untouched classes of one size in M' are one choice."""
-    out = [(e, 1) for e in elems]
-    out += [(start + used, size - used) for start, size, used in cells
-            if used < size]
-    out += [(starts[0], elements) for starts, _, _, elements in spare
-            if elements]
-    return out
+                yield e, s * c, ((*cells, (e, s, 1)),
+                                 (*spare[:j], group, *spare[j + 1:]),
+                                 (*elems, e))
 
 
 def _types(state, k: int):
@@ -555,7 +540,7 @@ def _types(state, k: int):
     counted variables: their elements in M', the number of their tuples
     of that type in M, and the last variable's choices."""
     if k == 1:
-        yield (), 1, _last_choices(*state)
+        yield (), 1, _leaves(state, 1)
         return
     for e, weight, after in _choices(*state):
         for reps, more, last in _types(after, k - 1):
@@ -565,13 +550,24 @@ def _types(state, k: int):
 def _leaves(state, k: int):
     """``(leaf, weight)`` for each type of the ``k`` counted variables: the
     variables' elements in M' and the number of tuples of M of that type.
-    A list when k <= 1 (for k = 0 the empty leaf, of weight 1), else a
+    A list when k <= 1 (for k = 0 the empty leaf, of weight 1; for k = 1
+    the untouched classes of one size in M' are one leaf), else a
     generator."""
     if k == 0:
         return [((), 1)]
     if k == 1:
-        return [((e,), w) for e, w in _last_choices(*state)]
-    return ((reps + (e,), weight * w)
+        cells, spare, elems = state
+        out = []
+        for e in elems:
+            out.append(((e,), 1))
+        for start, size, used in cells:
+            if used < size:
+                out.append(((start + used,), size - used))
+        for starts, _, _, elements in spare:
+            if elements:
+                out.append(((starts[0],), elements))
+        return out
+    return ((reps + e, weight * w)
             for reps, weight, last in _types(state, k) for e, w in last)
 
 
@@ -585,52 +581,58 @@ def _block_count(summary, phi, params: Dict[str, ElemRef],
     quantifier-loop visits per evaluation against ``budget`` (default
     ``PFDIM_BUDGET``, read once per ``memo``) before it evaluates, and
     raises ``FamilyError`` "budget exceeded" when that is over.  ``memo``
-    keeps, per formula and shape of M', the compiled formula and its truth
-    at each type, so counts whose M' has one shape (a spectrum's class
-    sizes, once every size exceeds r) evaluate each type once."""
+    keeps M' per shape, and per formula and parameter names a plan: the
+    counted variables, k, r, binder depths, the parameters free in phi,
+    the relation names of M' (None for classes of ``E``), and per shape
+    and parameter slots the compiled formula and its truth at each type,
+    so counts whose M' has one shape (a spectrum's class sizes, once
+    every size exceeds r) evaluate each type once."""
     memo = {} if memo is None else memo
-    _, free, depths, names = _facts(phi, memo)
-    counted = [n for n in free if n not in params]
-    k = len(counted)
-    r = k + (max(depths) if depths else 0)
-    params = {v: ref for v, ref in params.items() if v in free}
-    if isinstance(summary, EquivSummary):
-        names = ("E",)
-        shape, state, fixed = _equiv_model(summary, params, r, k)
+    key = ("plan", id(phi), *params)
+    plan = memo.get(key)
+    if plan is None:    # the entry keeps phi, so its id is not reused
+        _, free, depths, names = _facts(phi, memo)
+        counted = tuple([n for n in free if n not in params])
+        names = (None if isinstance(summary, EquivSummary) else
+                 tuple(sorted(names, key=lambda name: int(name[1:]))))
+        plan = memo[key] = (phi, counted, len(counted),
+                            len(counted) + max(depths, default=0), depths,
+                            tuple([v for v in params if v in free]), names, {})
+    _, counted, k, r, depths, kept, names, models = plan
+    if names is None:
+        shape, fixed, state = _equiv_model(summary, params, kept, r, k)
         elements = sum(shape)
     else:
-        names = tuple(sorted(names, key=lambda name: int(name[1:])))
-        shape, state, fixed = _pred_model(summary, params, r, names)
-        elements = sum(kept for _, kept in shape)
+        shape, fixed, state = _pred_model(summary, params, kept, r, names)
+        elements = sum([m for _, m in shape])
     steps = 1 + sum([elements ** d for d in depths]) if depths else 1
-    limit = budget
-    if limit is None:    # PFDIM_BUDGET, read once per request
-        limit = memo.get("budget")
-        if limit is None:
-            limit = memo["budget"] = get_budget()
+    if budget is None:    # PFDIM_BUDGET, read once per request
+        budget = memo.get("budget")
+        if budget is None:
+            budget = memo["budget"] = get_budget()
     typed = _leaves(state, k)
     if k > 1:
         leaves = 0
         for _, _, last in _types(state, k):
             leaves += len(last)
-            if leaves * steps > limit:
+            if leaves * steps > budget:
                 break
     else:
         leaves = len(typed)
-    if leaves * steps > limit:
+    if leaves * steps > budget:
         raise FamilyError(
             f"count could take at least {leaves * steps} steps, type "
             f"leaves times quantifier visits (budget exceeded)")
-    # the entry keeps phi, so its id is not reused while the memo lives
-    key = ("model", id(phi), shape, tuple(fixed.items()), tuple(counted))
-    entry = memo.get(key)
+    entry = models.get((shape, fixed))
     if entry is None:
+        if ("structure", names, shape) not in memo:
+            memo["structure", names, shape] = _small_structure(names, shape)
         # the counted variables are slots too, set to each leaf in turn
         test, env, _ = compile_formula(
-            phi, _small_structure(names, shape),
-            {**fixed, **dict.fromkeys(counted, 0)})
-        entry = memo[key] = (phi, test, env, {})
-    _, test, env, truths = entry
+            phi, memo["structure", names, shape],
+            {**dict(zip(kept, fixed)), **dict.fromkeys(counted, 0)})
+        entry = models[shape, fixed] = (test, env, {})
+    test, env, truths = entry
     first = len(fixed)
     total = 0
     for leaf, weight in typed:
@@ -644,22 +646,32 @@ def _block_count(summary, phi, params: Dict[str, ElemRef],
 
 
 class FamilyAt:
-    """One family at one index: its summary and signature, built once,
-    the one place a step's formula text becomes a formula, and the one
-    place every count at that index is made.
+    """One family at one index: its summary and signature, built once per
+    request, the one place a step's formula text becomes a formula, and
+    the one place every count at that index is made.
 
-    ``memo`` holds the formula-level work of one request: parsed steps,
-    free variables, binder depths, ``PFDIM_BUDGET``, and per shape of the
-    small model the compiled formula and its truths.  It is private to
-    this index unless ``family_sequence`` hands every index of its request
-    the same one."""
+    ``memo`` holds the work of one request: each index's summary and
+    signature, parsed steps, free variables, binder depths,
+    ``PFDIM_BUDGET``, and ``_block_count``'s plans and small models.  It
+    is private to this index unless ``family_sequence`` hands every index
+    of its request the same one."""
 
     def __init__(self, family: FamilyHandle, index: int):
         self.family = family
         self.index = index
-        self.summary = family_summary(family, index)
-        self.signature = family_signature(family, index)
         self.memo: dict = {}
+
+    def __getattr__(self, name: str):
+        # summary and signature, built on first use, once per memo, so that
+        # family_sequence can hand in its memo first
+        if name not in ("summary", "signature"):
+            raise AttributeError(name)
+        key = ("index", self.family.family_id, self.index)
+        if key not in self.memo:
+            self.memo[key] = (family_summary(self.family, self.index),
+                              family_signature(self.family, self.index))
+        self.summary, self.signature = self.memo[key]
+        return getattr(self, name)
 
     def selector(self, name: str) -> Dict[str, ElemRef]:
         sels = _EQUIV_SELECTORS.get(self.family.family_id, {})
@@ -738,8 +750,10 @@ class FamilyAt:
         automorphisms of the structure, and on these families (only ``E``)
         an automorphism can move any element to any other element of its
         class, and swap any two classes of equal size.  So one class per
-        distinct size is counted by ``count``, the first of that size, at
-        its first element; a formula without ``y`` is counted once.
+        run of the summary (one per distinct size, except the two runs of
+        size 1 of rank2classes at index 1) is counted by ``count``, the
+        first of the run, at its first element; a formula without ``y`` is
+        counted once.
         """
         (phi, _), = self.conjunctions([(phi_text, None)])
         if self.family.family_id not in _EQUIV_FAMILIES:
@@ -748,20 +762,21 @@ class FamilyAt:
         self.check_one_counted(phi, {"y": None})
         if "y" not in _facts(phi, self.memo)[1]:  # one count for every b
             return [self.count(phi, {}).log_value]
-        element = self.summary.element
-        return sorted({self.count(phi, {"y": element(ci)}).log_value
-                       for ci in self.summary.first_classes().values()})
+        s = self.summary    # each run's first class, at its first element
+        return sorted({self.count(phi, {"y": ElemRef(ci, 0, start)}).log_value
+                       for _, ci, start in zip(s.sizes, s._first, s._starts)})
 
 
 def family_sequence(family: FamilyHandle, indices: Sequence[int],
-                    at_index: Callable[[FamilyAt], object]) -> list:
+                    at_index: Callable[[FamilyAt], object],
+                    memo: Optional[dict] = None) -> list:
     """``(n, at_index(FamilyAt(family, n)))`` for each distinct index ``n``
     in increasing order: the one loop over a family's indices, and one
-    request, whose ``FamilyAt``s share one memo.  An error at an index
-    keeps its type, and its message starts with ``index n:`` (a parse
-    diagnostic keeps its line:column form)."""
+    request, whose ``FamilyAt``s share one memo (``memo`` if given).  An
+    error at an index keeps its type, and its message starts with ``index
+    n:`` (a parse diagnostic keeps its line:column form)."""
     out = []
-    memo: dict = {}
+    memo = {} if memo is None else memo
     for n in sorted(set(indices)):
         try:
             at = FamilyAt(family, n)
@@ -775,9 +790,11 @@ def family_sequence(family: FamilyHandle, indices: Sequence[int],
 
 def count_family(phi_text: str, family: FamilyHandle, indices: Sequence[int],
                  selector: Optional[str] = None,
-                 budget: Optional[int] = None) -> CardinalitySequence:
+                 budget: Optional[int] = None,
+                 memo: Optional[dict] = None) -> CardinalitySequence:
     """One exact count per family index, indices sorted and deduplicated,
-    each by ``FamilyAt.count``; errors name their index."""
+    each by ``FamilyAt.count``; errors name their index.  ``memo`` is
+    ``family_sequence``'s."""
     def count_at(at: FamilyAt) -> Count:
         (phi, params), = at.conjunctions([(phi_text, selector)])
         return at.count(phi, params, budget)
@@ -785,7 +802,7 @@ def count_family(phi_text: str, family: FamilyHandle, indices: Sequence[int],
     return CardinalitySequence(
         family_id=family.family_id, formula_text=phi_text,
         selector=selector or "",
-        points=tuple(family_sequence(family, indices, count_at)))
+        points=tuple(family_sequence(family, indices, count_at, memo)))
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,9 @@ def word_image(w: WordExpr, G: Group, budget: int = 10 ** 8) -> FrozenSet[int]:
     """Exact image set {w(g_1..g_d)} by enumeration over G^d, a row at a
     time (g_1..g_(d-1) fixed, g_d running over G), until it is all of G.
     Each distinct subword is evaluated once per row, in an order worked out
-    once, or once in all if it reads none of g_1..g_(d-1)."""
+    once, or once in all if it reads none of g_1..g_(d-1).  ``budget``
+    bounds the |G|^d tuples and the |G| table entries per subword
+    evaluation, both checked before the enumeration starts."""
     order = _subwords(w)
     d = max((s.index for s in order if isinstance(s, WVar)), default=0)
     if d == 0:
@@ -327,6 +329,10 @@ def word_image(w: WordExpr, G: Group, budget: int = 10 ** 8) -> FrozenSet[int]:
             raise TypeError(f"not a word: {s!r}")
         row[i], moves[i] = row[a] or row[b], moves[a] or moves[b]
         (each_row if moves[i] else once).append((i, f, a, b))
+    entries = (len(once) + G.n ** (d - 1) * len(each_row)) * G.n
+    if entries > budget:
+        raise PfdimError(f"word image enumeration computes {entries} "
+                         f"table entries, which exceeds budget")
     for i, f, a, b in once:
         vals[i] = f(vals[a], vals[b])
     out = set()

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
-from pfdim import families
+from pfdim import PfdimError, families
 from pfdim.counting import BudgetExceeded, count
 from pfdim.dimension import DimensionError, chain_detect, fmv_spectrum
 from pfdim.families import (ElemRef, FamilyAt, FamilyError, _block_count,
@@ -510,6 +510,46 @@ def test_one_memo_matches_fresh_counts_for_any_parameters(fid, index, text,
             params[v] = summary.element(ci, off)
         assert at.count(phi, params) == FamilyAt(family, index).count(
             phi, params)
+
+
+def count_or_error(at, text, selector):
+    """The count of ``text`` at ``at`` with ``y`` fixed by ``selector``, or
+    the error it raises."""
+    try:
+        (phi, params), = at.conjunctions([(text, selector)])
+        return at.count(phi, params)
+    except PfdimError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def memo_requests(draw):
+    """A family and a random sequence of counts for one request: a few
+    first-order formulas, each counted with a selector or none, at
+    indices 1-12 and 64, so that plans, shapes of M' and M' itself recur
+    across indices and formulas."""
+    fid = draw(st.sampled_from(FAMILY_IDS))
+    texts = draw(st.lists(first_order(atoms_of(fid, 4), ("x", "y"),
+                                      draw(st.integers(0, 2))),
+                          min_size=1, max_size=3))
+    selectors = [None, *list_families()[fid]["selectors"]]
+    return fid, draw(st.lists(st.tuples(
+        st.sampled_from([*range(1, 13), 64]), st.sampled_from(texts),
+        st.sampled_from(selectors)), min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(memo_requests())
+def test_counts_through_one_memo_match_fresh_counts(case):
+    fid, counts = case
+    family = get_family(fid)
+    memo: dict = {}
+    for index, text, selector in counts:
+        at = FamilyAt(family, index)
+        at.memo = memo
+        assert count_or_error(at, text, selector) == count_or_error(
+            FamilyAt(family, index), text, selector)
 
 
 # at n = 8, the counts the block quotient declined for each reason, too

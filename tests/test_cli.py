@@ -10,6 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfdim.cli import _emit, main
+from pfdim.families import get_family
+from pfdim.measure import mu_D_sequence
+
+QUANTIFIED = "exists z:S. E(x, z) & E(z, y)"
 
 
 def run(capsys, *argv):
@@ -517,8 +521,27 @@ class TestEmit:
                          "!2*x1 = 0 & !div(2^1, 1*x1) & div(2^2, 2*x1)"]
         two = catalog + ["--r", "2", "--formula",
                          "!2*x1 = 0 & !div(2^1, 1*x2)"]
+        # the family commands: a request's memo holds no FamilyAt, which
+        # holds the memo
+        family = [
+            ["dim-compare", "--family", "findelta", "--formula-x", "E(x, y)",
+             "--selector-x", "class-level-1", "--formula-y", QUANTIFIED,
+             "--selector-y", "class-level-2", "--indices", "4,8"],
+            ["chain", "--family", "earlyexample", "--indices", "3,5",
+             "--step", "E(x, x)", "--step", "E(x, y)@class-2"],
+            ["spectrum", "--family", "findelta", "--formula", QUANTIFIED,
+             "--indices", "4,8"],
+            ["family", "--name", "convsupersimple", "--index", "6",
+             "--formula", "P2(x) & !P4(x)"]]
+
+        def mu_d():
+            return mu_D_sequence(get_family("rank2classes"), "E(x, x)",
+                                 "E(x, y)", [4, 8], x_selector="big-class")
         with contextlib.redirect_stdout(io.StringIO()):
-            main(one)   # builds the cached argument parser, which has cycles
+            # builds the cached argument parsers, which have cycles
+            for argv in [one, *family]:
+                main(argv)
+        mu_d()
         gc.collect()
         gc.disable()
         try:
@@ -526,6 +549,9 @@ class TestEmit:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(one) == 0
                 assert main(two) == 0
+                for argv in family:
+                    assert main(argv) == 0
+            mu_d()
             assert gc.collect() == 0
         finally:
             gc.enable()

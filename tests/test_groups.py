@@ -270,6 +270,27 @@ class TestWordLimits:
         want = word_image(parse_word("x*x*x"), builtin_group("S3"))
         assert json.loads(out)["image"] == sorted(want)
 
+    @pytest.mark.parametrize("group,word", [
+        ("C1024", "*".join(["x"] * 100_000)),
+        ("PSL(2,7)", "*".join(["x*y*z"] * 3000))],
+        ids=["x^100000 on C1024", "(x*y*z)^3000 on PSL(2,7)"])
+    def test_work_past_the_budget_is_refused(self, capsys, group, word):
+        # |G|^d is within the budget, the table entries the subwords take
+        # (10^5 * 1024; 168^2 rows of about 9000 subwords) are not
+        start = time.perf_counter()
+        code, out, err = run(capsys, "word-image", "--group", group,
+                             "--word", word)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: word image enumeration computes ")
+        assert err.endswith(" table entries, which exceeds budget\n")
+
+    @pytest.mark.parametrize("budget,code", [(11, 1), (12, 0)])
+    def test_the_budget_counts_table_entries(self, capsys, budget, code):
+        # x*x and x*x*x are computed once each, 6 entries apiece
+        assert run(capsys, "word-image", "--group", "S3", "--word", "x*x*x",
+                   "--budget", str(budget))[0] == code
+
     def test_a_commutator_nested_20_deep(self, capsys):
         word = "y"
         for _ in range(20):

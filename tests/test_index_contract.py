@@ -199,6 +199,38 @@ def test_one_memo_per_request():
     assert FamilyAt(family, 2).memo is not FamilyAt(family, 2).memo
 
 
+DIM_COMPARE = ["dim-compare", "--family", "stablenonattainability",
+               "--formula-x", "E(x, y)", "--selector-x", "class-rank-1",
+               "--formula-y", "E(x, y) & !(x = y)",
+               "--selector-y", "class-rank-2"]
+
+
+def test_dim_compare_builds_each_index_once(monkeypatch, capsys):
+    # X and Y are one request: each index's summary is built once
+    built = []
+    summary = families.family_summary
+
+    def counting(family, index):
+        built.append(index)
+        return summary(family, index)
+
+    monkeypatch.setattr(families, "family_summary", counting)
+    assert main(DIM_COMPARE + ["--indices", "16,8,32,8,64"]) == 0
+    assert built == [8, 16, 32, 64]
+    assert json.loads(capsys.readouterr().out)["classification"] == "greater"
+
+
+def test_dim_compare_reports_the_error_of_x_first(capsys):
+    # X is counted over every index before Y, so X's error at index 6 (P5
+    # is a relation from there on) is reported, not Y's at index 2 (no P9)
+    code = main(["dim-compare", "--family", "convsupersimple",
+                 "--formula-x", "exists P5:S. P1(x) & !(x = P5)",
+                 "--formula-y", "P9(x)", "--indices", "2,6"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "parse error: index 6: 1:28: relation P5 used as a term\n")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
