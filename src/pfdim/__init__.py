@@ -38,6 +38,22 @@ class Count:
         fields["value"], fields["log_value"] = value, log_value
 
 
+def _nonempty_meets(base, items, meet):
+    """Inclusion-exclusion's one subset walk: ``(S, meet of base and S)``
+    for each subset S of ``items`` (a tuple of indices) whose meet is not
+    None, depth first from the empty subset, each meet taken in increasing
+    index order.  A subset with an empty meet is not extended: adding an
+    item only shrinks a meet."""
+    stack = [((), base)]
+    while stack:
+        chosen, cur = stack.pop()
+        yield chosen, cur
+        for i in range(len(items) - 1, chosen[-1] if chosen else -1, -1):
+            below = meet(cur, items[i])
+            if below is not None:
+                stack.append((chosen + (i,), below))
+
+
 # every submodule, with the public names it defines
 _EXPORTS = {
     "logic": ("App", "And", "Const", "Eq", "Exists", "FiniteStructure",

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from . import Count, PfdimError
+from . import Count, PfdimError, _nonempty_meets
 from .gf import is_prime
 
 NEGATION_CAP = 12
@@ -49,11 +49,6 @@ class LinearTerm:
     def s(self) -> int:
         return len(self.y_coeffs)
 
-    def __str__(self) -> str:
-        parts = [f"{a}*x{i+1}" for i, a in enumerate(self.x_coeffs) if a]
-        parts += [f"{b}*y{j+1}" for j, b in enumerate(self.y_coeffs) if b]
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class StandardAtom:
@@ -70,13 +65,6 @@ class StandardAtom:
             raise AbelianError(f"unknown atom kind {self.kind!r}")
         if self.kind == "div" and self.level < 1:
             raise AbelianError("divisibility atoms need level >= 1")
-
-    def __str__(self) -> str:
-        neg = "!" if self.negated else ""
-        if self.kind == "eq":
-            return f"{neg}({self.term} = 0)"
-        base = self.base if self.base is not None else "p"
-        return f"{neg}div({base}^{self.level}, {self.term})"
 
 
 def _vp(k: int, p: int, cap: int) -> int:
@@ -97,12 +85,8 @@ def _normalize_atom(atom: StandardAtom, p: int) -> Optional[StandardAtom]:
         return atom
     if atom.base < 2:
         raise AbelianError("divisibility base must be >= 2")
-    v = 0
-    b = atom.base
-    while b % p == 0:
-        b //= p
-        v += 1
-    lev = atom.level * v
+    # the valuation of base >= 2 is below base itself, so no cap applies
+    lev = atom.level * _vp(atom.base, p, atom.base)
     if lev == 0:
         if atom.negated:
             # negation of a trivially true atom: canonical unsatisfiable atom
@@ -171,21 +155,23 @@ def _merge(cur: Tuple[int, Tuple[int, ...]],
     return (e1, s1)
 
 
-def _solve_positive(atoms: Sequence[StandardAtom],
-                    params: Sequence[Tuple[int, ...]],
-                    p: int, n: int, m: int, var: int) -> Optional[int]:
-    """Count of the conjunction of positive atoms, or None if empty."""
-    cur = (0, tuple([0] * m))
-    for atom in atoms:
-        k, c = _substitute(atom, params, m, var)
-        constraint = _atom_constraint(atom, k, c, p, n)
-        if constraint is None:
-            return None
-        cur = _merge(cur, constraint, p)
-        if cur is None:
-            return None
-    e = cur[0]
-    return p ** ((n - e) * m)
+def _negation_meets(pos, neg, params, p: int, n: int, m: int, var: int):
+    """``_nonempty_meets`` over the negated atoms' solutions from the merged
+    positive system: each solvable ``pos + neg[S]`` as ``(S, (e, s))``.
+    Each atom is solved once, in order; none of ``neg`` when ``pos`` alone
+    is unsolvable."""
+    def solve(atom):
+        return _atom_constraint(atom, *_substitute(atom, params, m, var), p, n)
+
+    base = (0, (0,) * m)
+    for atom in pos:
+        constraint = solve(atom)
+        base = None if constraint is None else _merge(base, constraint, p)
+        if base is None:
+            return ()
+    return _nonempty_meets(
+        base, [solve(atom) for atom in neg],
+        lambda cur, new: None if new is None else _merge(cur, new, p))
 
 
 def _check_prime(p: int):
@@ -224,13 +210,8 @@ def exact_count(atoms: Sequence[StandardAtom],
     pos, neg = _split_atoms(atoms, p)
     if len(neg) > NEGATION_CAP:
         raise AbelianError(f"more than {NEGATION_CAP} negated atoms")
-    total = 0
-    for size in range(len(neg) + 1):
-        for sub in combinations(neg, size):
-            cnt = _solve_positive(list(pos) + list(sub), params, p, n, m, 0)
-            if cnt is not None:
-                total += (-1) ** size * cnt
-    return Count(total)
+    return Count(sum((-1) ** len(sub) * p ** ((n - e) * m) for sub, (e, _)
+                     in _negation_meets(pos, neg, params, p, n, m, 0)))
 
 
 def brute_count(atoms: Sequence[StandardAtom],
@@ -290,20 +271,6 @@ class ExponentPolynomial:
     def to_json_dict(self) -> dict:
         """``coeffs`` is one tuple shared by every call: read it only."""
         return {"k": self.k, "d": self.d, "coeffs": self._rows}
-
-    def __str__(self) -> str:
-        parts = []
-        for (i, j), c in sorted(self.coeffs):
-            if c == 0:
-                continue
-            exp = []
-            if i:
-                exp.append(f"{i}v" if i != 1 else "v")
-            if j:
-                exp.append(f"{j:+d}" if exp else str(j))
-            mono = f"X^(u({''.join(exp)}))" if exp else "1"
-            parts.append(f"{c:+d}*{mono}")
-        return " ".join(parts) if parts else "0"
 
 
 def make_poly(k: int, d: int, coeffs: Dict[Tuple[int, int], int]) -> ExponentPolynomial:
@@ -398,11 +365,10 @@ def _concrete_exponent(atoms: Sequence[StandardAtom], p: int, n: int,
 def _solvability_pattern(pos, neg, params, p, n, m, var) -> int:
     """The negation subsets whose system is solvable, as a bitmask over
     ``_subsets(len(neg))``."""
+    position = {s: b for b, s in enumerate(_subsets(len(neg)))}
     mask = 0
-    for b, sub in enumerate(_subsets(len(neg))):
-        system = list(pos) + [neg[i] for i in sub]
-        if _solve_positive(system, params, p, n, m, var) is not None:
-            mask |= 1 << b
+    for sub, _ in _negation_meets(pos, neg, params, p, n, m, var):
+        mask |= 1 << position[frozenset(sub)]
     return mask
 
 

@@ -39,36 +39,16 @@ def _encode_float(value: float) -> str:
     return float.__repr__(value)
 
 
-# by exact type; a subclass goes through _scalar's isinstance checks
+# by exact type; any other scalar (a str, int or float subclass) and any
+# other key are written by json.dumps, whose C encoder has json.dump's rules
 _SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: _encode_float,
                 bool: {True: "true", False: "false"}.__getitem__,
                 type(None): lambda _: "null"}
 
 
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _encode_float(value)
-    raise TypeError(
-        f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _encode_key(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):   # bool is an int
-        return _encode_str(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+    # '{"<key>": 0}' less its brace and ': 0}', or json's own TypeError
+    return json.dumps({key: 0})[1:-4]
 
 
 def _encode(value, newline: str, out: List[str], memo: dict) -> None:
@@ -121,7 +101,7 @@ def _encode(value, newline: str, out: List[str], memo: dict) -> None:
         if shared:
             memo[memo_key] = "".join(out[start:])
     else:
-        out.append(_scalar(value))
+        out.append(json.dumps(value))
 
 
 def _parse_ints(text: str) -> List[int]:
@@ -300,22 +280,8 @@ def _cmd_vs_count(args) -> int:
             raise vspace.VSpaceError(
                 "give either --coset-spec or --w/--wprime, not both")
         with open(args.coset_spec) as fh:
-            spec = json.load(fh)
-        if not isinstance(spec, dict):
-            raise vspace.VSpaceError("coset spec must be a JSON object")
-
-        def coset(d):
-            try:
-                return vspace.Coset(tuple(d["point"]),
-                                    tuple(tuple(r) for r in d.get("rows", [])))
-            except (KeyError, TypeError, AttributeError):
-                raise vspace.VSpaceError(
-                    f"bad coset {d!r}: need a 'point' list and optional "
-                    "'rows' lists") from None
-
-        result = vspace.count_coset_difference(
-            space, [coset(d) for d in spec.get("include", [])],
-            [coset(d) for d in spec.get("exclude", [])])
+            include, exclude = vspace.coset_spec_from_json(fh.read())
+        result = vspace.count_coset_difference(space, include, exclude)
         _emit({"count": str(result.count.value),
                "poly": result.poly.to_json_dict()})
         return 0

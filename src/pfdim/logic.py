@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 from . import PfdimError
@@ -204,31 +204,43 @@ def rename_free(phi: Formula, old: str, new: str) -> Formula:
     The rename stops at any binder of ``old``.  It does not guard against
     capture of ``new`` by a binder, so pick a fresh name.
     """
+    # a subtree with no free ``old`` comes back as the same object
+    def terms(args):
+        renamed = tuple(map(term, args))
+        return args if all(map(is_, renamed, args)) else renamed
+
     def term(t):
         if isinstance(t, Var):
             return Var(new, t.sort) if t.name == old else t
         if isinstance(t, App):
-            return App(t.func, tuple(term(a) for a in t.args))
+            args = terms(t.args)
+            return t if args is t.args else App(t.func, args)
         return t
 
     def walk(f):
         if isinstance(f, Rel):
-            return Rel(f.name, tuple(term(a) for a in f.args))
+            args = terms(f.args)
+            return f if args is f.args else Rel(f.name, args)
         if isinstance(f, Eq):
-            return Eq(term(f.left), term(f.right))
+            return _pair(f, term(f.left), term(f.right))
         if isinstance(f, Not):
-            return Not(walk(f.body))
+            body = walk(f.body)
+            return f if body is f.body else Not(body)
         if isinstance(f, _BINARY):
-            return type(f)(walk(f.left), walk(f.right))
+            return _pair(f, walk(f.left), walk(f.right))
         if isinstance(f, _QUANT):
-            if f.var == old:
-                return f
-            return type(f)(f.var, f.sort, walk(f.body))
+            body = f.body if f.var == old else walk(f.body)
+            return f if body is f.body else type(f)(f.var, f.sort, body)
         raise TypeError(f"not a formula node: {f!r}")
 
     out = walk(phi)
-    del walk, term
+    del walk, term, terms
     return out
+
+
+def _pair(f, left, right):
+    """``f`` itself if its two sides are the same objects, else rebuilt."""
+    return f if left is f.left and right is f.right else type(f)(left, right)
 
 
 # The sort rules, shared by ``sort_check`` and the parser.  ``bound`` and

@@ -16,12 +16,12 @@ here by inclusion-exclusion over affine intersections.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import Count, PfdimError, gf
+from . import Count, PfdimError, _nonempty_meets, gf
 
 if TYPE_CHECKING:
     from .logic import FiniteStructure
@@ -91,24 +91,6 @@ class VFPolynomial:
                            "coeff": {"num": c.numerator, "den": c.denominator}}
                           for (vp, fp), c in self.terms]}
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (vp, fp), c in sorted(self.terms, reverse=True):
-            mono = "*".join((["V"] * 0) + (["V^%d" % vp if vp > 1 else "V"] if vp else [])
-                            + (["F^%d" % fp if fp > 1 else "F"] if fp else []))
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{c}*{mono}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
-
 
 ZERO = VFPolynomial(())
 
@@ -130,9 +112,6 @@ class Ambient:
     def decode(self, vid: int) -> Tuple[int, ...]:
         return gf.vec_decode(vid, self.F.q, self.dim)
 
-    def encode(self, vec: Sequence[int]) -> int:
-        return gf.vec_encode(vec, self.F.q)
-
 
 # the closed forms below read nothing of a materialized structure but its
 # sort sizes, so they take the coordinate view itself as well
@@ -141,6 +120,9 @@ Space = Union["FiniteStructure", Ambient]
 
 # at most this many vectors, the bound families.MAX_UNIVERSE puts on any sort
 MAX_VECTORS = 200_000
+# at most this many nonempty intersections in one coset difference's
+# inclusion-exclusion: k equal excluded cosets meet in 2^k ways
+MAX_MEETS = 2 ** 16
 
 
 def vector_space_ambient(q: int, dim: int) -> Ambient:
@@ -304,10 +286,38 @@ def _check_coset(amb: Ambient, c: Coset) -> None:
             raise VSpaceError(
                 f"coset vector {list(vec)} has length {len(vec)}, "
                 f"expected dim={amb.dim}")
-        if not all(isinstance(x, int) and 0 <= x < amb.F.q for x in vec):
+        # a JSON integer: not true (a bool), 1.0 or "1"
+        if not all(type(x) is int and 0 <= x < amb.F.q for x in vec):
             raise VSpaceError(
                 f"coset vector {list(vec)} has a coordinate that is not "
                 f"an integer in 0..{amb.F.q - 1}")
+
+
+def coset_spec_from_json(text: str) -> Tuple[List[Coset], List[Coset]]:
+    """The include and exclude cosets of a ``vs-count --coset-spec`` file:
+    a JSON object whose optional "include" and "exclude" are lists of
+    {"point": [...], "rows": [[...], ...]} ("rows" optional).  The
+    coordinates are checked against the space by the count."""
+    spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise VSpaceError("coset spec must be a JSON object")
+    return _cosets(spec, "include"), _cosets(spec, "exclude")
+
+
+def _cosets(spec: dict, key: str) -> List[Coset]:
+    items = spec.get(key, [])
+    if not isinstance(items, list):
+        raise VSpaceError(f"coset spec {key!r} must be a list of cosets")
+    out = []
+    for d in items:
+        point = d.get("point") if isinstance(d, dict) else None
+        rows = d.get("rows", []) if isinstance(d, dict) else None
+        if not (isinstance(point, list) and isinstance(rows, list)
+                and all(isinstance(r, list) for r in rows)):
+            raise VSpaceError(f"bad coset {d!r}: need a 'point' list and "
+                              "optional 'rows' lists")
+        out.append(Coset(tuple(point), tuple(map(tuple, rows))))
+    return out
 
 
 def count_coset_difference(space: Space, include: Sequence[Coset],
@@ -325,22 +335,17 @@ def count_coset_difference(space: Space, include: Sequence[Coset],
             return CosetCount(Count(0), ZERO)
 
     total = 0
-    poly = ZERO
-    for size in range(len(exclude) + 1):
-        for sub in combinations(exclude, size):
-            cur: Optional[Coset] = base
-            for W in sub:
-                cur = _intersect(amb, cur, W)
-                if cur is None:
-                    break
-            if cur is None:
-                continue
-            e = gf.rank(amb.F, list(cur.rows))
-            sign = (-1) ** size
-            total += sign * amb.F.q ** e
-            if e == amb.dim:
-                mono = VFPolynomial.monomial(1, 0, sign)
-            else:
-                mono = VFPolynomial.monomial(0, e, sign)
-            poly = poly + mono
-    return CosetCount(Count(total), poly)
+    coeffs: Dict[Tuple[int, int], int] = {}
+    meets = _nonempty_meets(base, exclude,
+                            lambda cur, W: _intersect(amb, cur, W))
+    for visited, (sub, cur) in enumerate(meets, 1):
+        if visited > MAX_MEETS:
+            raise VSpaceError(f"the excluded cosets meet in more than "
+                              f"{MAX_MEETS} nonempty intersections")
+        e = gf.rank(amb.F, list(cur.rows))
+        sign = (-1) ** len(sub)
+        total += sign * amb.F.q ** e
+        # the monomial |V| when the meet is the whole space, else |F|^e
+        mono = (1, 0) if e == amb.dim else (0, e)
+        coeffs[mono] = coeffs.get(mono, 0) + sign
+    return CosetCount(Count(total), VFPolynomial.from_dict(coeffs))

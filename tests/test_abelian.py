@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from pfdim import abelian
 from pfdim.abelian import (AbelianError, ExponentPolynomial, LinearTerm,
                            StandardAtom, brute_count, derived_bound,
                            evaluate_poly, exact_count, make_poly,
@@ -66,6 +67,26 @@ class TestExactCount:
             params = [tuple(rng.randrange(p ** n) for _ in range(m))]
             assert (exact_count(atoms, params, p, n, m).value
                     == brute_count(atoms, params, p, n, m).value)
+
+    def test_disjoint_negations_are_not_extended(self, monkeypatch):
+        # !(x1 + yi = 0) with yi = i in Z/16: twelve pairwise-disjoint
+        # points, so inclusion-exclusion merges each with G once and each
+        # pair once, and takes no meet of three
+        merge, calls = abelian._merge, []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 12 + 66:
+                raise AssertionError("an empty meet was extended")
+            return merge(*args)
+
+        monkeypatch.setattr(abelian, "_merge", counted)
+        atoms = [atom_eq((1,), [int(i == j) for j in range(12)], negated=True)
+                 for i in range(12)]
+        params = [(i,) for i in range(12)]
+        assert exact_count(atoms, params, 2, 4, 1).value == 16 - 12
+        monkeypatch.undo()
+        assert brute_count(atoms, params, 2, 4, 1).value == 16 - 12
 
 
 class TestPolynomials:

@@ -189,3 +189,54 @@ class TestRenameFree:
         phi = And(bound, Not(Rel("P", (App("f", (Var("y"),)),))))
         assert rename_free(phi, "y", "y1") == And(
             bound, Not(Rel("P", (App("f", (Var("y1"),)),))))
+
+    @staticmethod
+    def rebuilt(f, old, new):
+        """The rename as a rebuild of every node."""
+        def term(t):
+            if isinstance(t, Var):
+                return Var(new, t.sort) if t.name == old else t
+            if isinstance(t, App):
+                return App(t.func, tuple(term(a) for a in t.args))
+            return t
+
+        def walk(f):
+            if isinstance(f, Rel):
+                return Rel(f.name, tuple(term(a) for a in f.args))
+            if isinstance(f, Eq):
+                return Eq(term(f.left), term(f.right))
+            if isinstance(f, Not):
+                return Not(walk(f.body))
+            if isinstance(f, (And, Or, Implies)):
+                return type(f)(walk(f.left), walk(f.right))
+            if f.var == old:
+                return f
+            return type(f)(f.var, f.sort, walk(f.body))
+
+        return walk(f)
+
+    FORMULAS = [
+        Rel("E", (Var("x", "S"), Var("y", "S"))),
+        Eq(App("f", (Var("y"), Const("c"))), Var("x")),
+        Not(Rel("P", (App("f", (App("g", (Var("y"),)),)),))),
+        Implies(Rel("P", (Var("x"),)), Or(Eq(Var("y"), Var("x")),
+                                            Rel("P", (Const("c"),)))),
+        Forall("z", "S", And(Rel("E", (Var("z"), Var("y"))),
+                             Exists("y", "S", Rel("E", (Var("y"), Var("z")))))),
+        And(Exists("x", "S", Eq(Var("x"), Var("x"))), Rel("P", (Var("x"),))),
+    ]
+
+    @pytest.mark.parametrize("phi", FORMULAS)
+    def test_equals_the_full_rebuild(self, phi):
+        for old in ("y", "x", "z"):
+            assert rename_free(phi, old, "w") == self.rebuilt(phi, old, "w")
+
+    def test_a_subtree_without_y_is_the_same_object(self):
+        untouched = Exists("z", "S", Rel("E", (Var("x"), App("f", (Var("z"),)))))
+        bound = Forall("y", "S", Eq(Var("y"), Var("x")))
+        phi = And(untouched, Or(bound, Not(Rel("P", (Var("y"),)))))
+        out = rename_free(phi, "y", "y#0")
+        assert out == And(untouched, Or(bound, Not(Rel("P", (Var("y#0"),)))))
+        assert out.left is untouched and out.right.left is bound
+        assert rename_free(untouched, "y", "y#0") is untouched
+        assert rename_free(phi, "v", "w") is phi

@@ -196,6 +196,13 @@ class TestInputErrors:
         ({"include": [{"rows": [[1, 0]]}]}, "need a 'point' list"),
         ({"include": [{"point": 3}]}, "need a 'point' list"),
         ([], "coset spec must be a JSON object"),
+        ({"include": None}, "'include' must be a list of cosets"),
+        ({"include": 5}, "'include' must be a list of cosets"),
+        ({"exclude": {"point": [0, 0]}}, "'exclude' must be a list of cosets"),
+        ({"include": [{"point": [0, True]}]}, "not an integer in 0..1"),
+        ({"include": [{"point": [0, 0], "rows": [[1, False]]}]},
+         "not an integer in 0..1"),
+        ({"include": [{"point": [0, 0], "rows": [1]}]}, "need a 'point' list"),
     ])
     def test_bad_coset_spec(self, capsys, tmp_path, spec, fragment):
         path = tmp_path / "spec.json"
@@ -205,6 +212,22 @@ class TestInputErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize("copies,code", [(16, 0), (17, 1)])
+    def test_bound_on_the_meets(self, capsys, tmp_path, copies, code):
+        # k equal excluded lines meet in 2^k ways; vspace.MAX_MEETS is 2^16
+        line = {"point": [0, 0], "rows": [[1, 0]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"exclude": [line] * copies}))
+        got, out, err = run(capsys, "vs-count", "--q", "2", "--dim", "2",
+                            "--coset-spec", str(path))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["count"] == "2"
+        else:
+            assert out == ""
+            assert err.strip() == ("error: the excluded cosets meet in more "
+                                   "than 65536 nonempty intersections")
 
     @pytest.mark.parametrize("theta", [["--w", "1"], ["--wprime", "2"],
                                        ["--w", "1", "--wprime", "2"],

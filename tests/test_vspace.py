@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pfdim import vspace
 from pfdim.families import make_vector_space
 from pfdim.gf import vec_add, vec_scale
 from pfdim.vspace import (MAX_VECTORS, Coset, VFPolynomial, VSpaceError,
@@ -115,6 +116,23 @@ class TestCosetDifference:
         assert got.count.value == 8 - 4
         # V - F^2 as a polynomial
         assert got.poly.evaluate(8, 2) == 4
+
+    def test_disjoint_points_are_not_extended(self, monkeypatch):
+        # 20 distinct points of F_5^2 meet the whole space once each and
+        # each other pair once, emptily; no meet of three is taken
+        intersect, calls = vspace._intersect, []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 20 + 190:
+                raise AssertionError("an empty meet was extended")
+            return intersect(*args)
+
+        monkeypatch.setattr(vspace, "_intersect", counted)
+        points = [Coset((i % 5, i // 5), ()) for i in range(20)]
+        got = count_coset_difference(vector_space_ambient(5, 2), [], points)
+        assert got.count.value == 25 - 20
+        assert got.poly == VFPolynomial.from_dict({(1, 0): 1, (0, 0): -20})
 
 
 class TestAmbientChecks:
