@@ -25,17 +25,16 @@ class Count:
     """An exact nonnegative integer with its natural log (-inf for zero)."""
 
     value: int
-    log_value: float = field(default=None)  # type: ignore[assignment]
+    log_value: float = field(init=False)
 
-    def __init__(self, value: int, log_value: float = None):  # type: ignore
+    def __init__(self, value: int):
         # written out: the generated __init__ and __post_init__ are slower
         if value < 0:
             raise ValueError("counts are nonnegative")
-        if log_value is None:
-            # math.log takes big ints directly without float conversion
-            log_value = -math.inf if value == 0 else math.log(value)
         fields = self.__dict__    # frozen: set here only
-        fields["value"], fields["log_value"] = value, log_value
+        # math.log takes big ints directly without float conversion
+        fields["value"], fields["log_value"] = (
+            value, -math.inf if value == 0 else math.log(value))
 
 
 def _nonempty_meets(base, items, meet):

@@ -67,13 +67,8 @@ def _encode(value, newline: str, out: List[str], memo: dict) -> None:
         for key, item in value.items():
             sep += (_encode_str(key) if key.__class__ is str
                     else _encode_key(key)) + ": "
-            # a scalar is written here, without a call of its own
-            text = _SCALAR_TEXT.get(item.__class__)
-            if text is None:
-                out.append(sep)
-                _encode(item, inner, out, memo)
-            else:
-                out.append(sep + text(item))
+            out.append(sep)
+            _encode(item, inner, out, memo)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -90,12 +85,8 @@ def _encode(value, newline: str, out: List[str], memo: dict) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            text = _SCALAR_TEXT.get(item.__class__)
-            if text is None:
-                out.append(sep)
-                _encode(item, inner, out, memo)
-            else:
-                out.append(sep + text(item))
+            out.append(sep)
+            _encode(item, inner, out, memo)
             sep = "," + inner
         out.append(newline + "]")
         if shared:

@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .counting import CardinalitySequence, Count, compile_formula, get_budget
@@ -66,6 +66,10 @@ class FamilyError(PfdimError):
 @dataclass(frozen=True)
 class FamilyHandle:
     family_id: str
+
+    def __post_init__(self):
+        if self.family_id not in _FAMILY_IDS:
+            raise FamilyError(f"unknown familyId {self.family_id!r}")
 
 
 @dataclass(frozen=True)
@@ -146,31 +150,6 @@ class EquivSummary:
         if j < len(self.sizes) and self.sizes[j] == size:
             return self._first[j]
         return None
-
-    def kept(self, r: int, counts: bool
-             ) -> Dict[int, Tuple[Optional[Dict[int, int]], int, int]]:
-        """The classes grouped by their size cut to ``r``: t -> ({actual
-        size: classes} or None without ``counts``, classes, their
-        elements), t increasing.  Without ``counts`` only the runs below
-        r are visited."""
-        groups: Dict[int, Tuple[Optional[Dict[int, int]], int, int]] = {}
-        classes, elements = self._first[-1], self.total
-        j = 0
-        while j < len(self.sizes) and self.sizes[j] < r:
-            s, m = self.sizes[j], self.mults[j]
-            _, c, e = groups.get(s, (None, 0, 0))
-            groups[s] = {s: c + m}, c + m, e + s * m
-            classes -= m
-            elements -= s * m
-            j += 1
-        if classes:
-            rest: Optional[Dict[int, int]] = None
-            if counts:
-                rest = {}
-                for s, m in zip(self.sizes[j:], self.mults[j:]):
-                    rest[s] = rest.get(s, 0) + m
-            groups[r] = rest, classes, elements
-        return groups
 
 
 @dataclass(frozen=True)
@@ -272,15 +251,11 @@ def list_families() -> Dict[str, dict]:
 
 
 def get_family(family_id: str) -> FamilyHandle:
-    if family_id not in _FAMILY_IDS:
-        raise FamilyError(f"unknown familyId {family_id!r}")
     return FamilyHandle(family_id)
 
 
 def family_summary(family: FamilyHandle, index: int):
     fid = family.family_id
-    if fid not in _FAMILY_IDS:
-        raise FamilyError(f"unknown familyId {fid!r}")
     if index < 1:
         raise FamilyError("index must be >= 1")
     n = index   # the summary holds `sizes` sizes, the largest n^e
@@ -301,18 +276,14 @@ def family_summary(family: FamilyHandle, index: int):
 def family_signature(family: FamilyHandle, index: int) -> Signature:
     if family.family_id in _EQUIV_FAMILIES:
         return _EQUIV_SIGNATURE
-    if family.family_id == "convsupersimple":
-        return make_signature(
-            ["S"], relations=[(f"P{i}", ("S",)) for i in range(1, index + 1)])
-    raise FamilyError(f"unknown familyId {family.family_id!r}")
+    return make_signature(
+        ["S"], relations=[(f"P{i}", ("S",)) for i in range(1, index + 1)])
 
 
 def generate(family_id: str, index: int) -> FiniteStructure:
     """Materialize the structure at the given index; errors when the
     universe or relation tables exceed the size budget."""
-    family = get_family(family_id)
-    summary = family_summary(family, index)
-    sig = family_signature(family, index)
+    summary = family_summary(get_family(family_id), index)
     if family_id in _EQUIV_FAMILIES:
         total = summary.total
         pairs = sum(s * s * m for s, m in summary.runs)
@@ -320,13 +291,15 @@ def generate(family_id: str, index: int) -> FiniteStructure:
             raise FamilyError(
                 f"{family_id} index {index}: size budget exceeded "
                 f"({total} elements, {pairs} relation entries)")
-        return _equiv_structure(summary.class_sizes)
-    # convsupersimple: nested unary predicates on a domain of size n^n
+        return _structure(None, summary.class_sizes)
+    # convsupersimple: nested unary predicates on a domain of size n^n, the
+    # bands |P_n|, |P_(n-1)| - |P_n|, ..., n^n - |P_1|
     if summary.total > MAX_UNIVERSE:
         raise FamilyError(f"convsupersimple index {index}: size budget "
                           f"exceeded ({summary.total} elements)")
-    return _pred_structure(sig, summary.total, {
-        f"P{i}": size for i, size in enumerate(summary.pred_sizes, start=1)})
+    bounds = [*summary.pred_sizes[::-1], summary.total]
+    return _structure([f"P{i}" for i in range(1, index + 1)],
+                      list(map(sub, bounds, [0, *bounds])))
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +371,34 @@ def _equiv_model(summary: EquivSummary, params: Dict[str, ElemRef],
     other classes are cut to, ``(first elements of its classes in M',
     {actual size: untouched classes}, untouched classes, their
     elements)``, the dict only when k > 1, since only a variable before
-    the last reads it; and the parameters' distinct elements in M'."""
+    the last reads it (so the runs at or above r are not visited when
+    k <= 1); and the parameters' distinct elements in M'."""
     held: Dict[int, list] = {}    # class -> its parameters' offsets
     for v in kept:
         ref = params[v]
         offs = held.setdefault(ref.class_index, [])
         if ref.offset not in offs:
             offs.append(ref.offset)
-    groups = summary.kept(r, k > 1)    # t -> (counts, classes, elements)
+    first, runs, mults = summary._first, summary.sizes, summary.mults
+    # the classes grouped by their size cut to r, t increasing
+    groups: Dict[int, Tuple[Optional[Dict[int, int]], int, int]] = {}
+    classes, elements = first[-1], summary.total
+    j = 0
+    while j < len(runs) and runs[j] < r:
+        s, m = runs[j], mults[j]
+        _, c, e = groups.get(s, (None, 0, 0))
+        groups[s] = {s: c + m}, c + m, e + s * m
+        classes -= m
+        elements -= s * m
+        j += 1
+    if classes:
+        rest: Optional[Dict[int, int]] = None
+        if k > 1:
+            rest = {}
+            for s, m in zip(runs[j:], mults[j:]):
+                rest[s] = rest.get(s, 0) + m
+        groups[r] = rest, classes, elements
     sizes, cells, elems, fixed = [], [], [], []
-    first, runs = summary._first, summary.sizes
     start = 0
     for ci in sorted(held) if len(held) > 1 else held:
         size = runs[bisect_right(first, ci) - 1]
@@ -445,9 +436,9 @@ def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
     (cells, (), elements))``.  Levels that the predicates ``names``
     (``P<k>``, k increasing) do not tell apart form one band: band j holds
     the elements in the j-th named predicate (every element for j = 0)
-    but not the next.  ``bands`` lists each nonempty band, the deepest
-    first as ``generate`` lays out the levels, as ``(j, elements in
-    M')``; ``fixed`` has each parameter's element in M', ``cells`` ``(first
+    but not the next.  ``bands`` has each band's elements in M', the
+    deepest first as ``generate`` lays out the levels, 0 for an empty
+    band; ``fixed`` has each parameter's element in M', ``cells`` ``(first
     element, actual size, elements used)`` for each band, and
     ``elements`` the parameters' distinct elements in M'."""
     bounds = ([summary.total]
@@ -465,52 +456,38 @@ def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
     start = 0
     for j in range(len(bounds) - 2, -1, -1):
         size = bounds[j] - bounds[j + 1]
-        if size:
-            here = sorted(ids.get(j, ()))
-            for i, g in enumerate(here):
-                where[g] = start + i
-            cells.append((start, size, len(here)))
-            bands.append((j, min(size, len(here) + r)))
-            start += bands[-1][1]
+        here = sorted(ids.get(j, ()))
+        for i, g in enumerate(here):
+            where[g] = start + i
+        cells.append((start, size, len(here)))
+        bands.append(min(size, len(here) + r))
+        start += bands[-1]
     return (tuple(bands), tuple([where[params[v].global_id] for v in kept]),
             (cells, (), list(where.values())))
 
 
-def _equiv_structure(sizes: Sequence[int]) -> FiniteStructure:
-    """Classes of the given sizes, laid out one after another."""
-    table = frozenset(chain.from_iterable(
-        product(range(start, start + s), repeat=2)
-        for start, s in zip(accumulate(sizes, initial=0), sizes)))
-    return FiniteStructure(signature=_EQUIV_SIGNATURE,
-                           sizes={"S": sum(sizes)}, relations={"E": table},
-                           functions={}, constants={})
-
-
-def _pred_structure(sig: Signature, total: int,
-                    pred_sizes: Dict[str, int]) -> FiniteStructure:
-    """Each predicate ``name`` holding on the first ``pred_sizes[name]``
-    of ``total`` elements."""
-    return FiniteStructure(
-        signature=sig, sizes={"S": total},
-        relations={name: frozenset((e,) for e in range(size))
-                   for name, size in pred_sizes.items()},
-        functions={}, constants={})
-
-
-def _small_structure(names: Optional[tuple], shape: tuple) -> FiniteStructure:
-    """M' of one shape: classes of the sizes ``shape`` when ``names`` is
-    None, else the bands ``shape`` of ``_pred_model`` over the predicates
-    ``names`` only (the reduct of the family's signature that phi reads),
-    the j-th holding on the bands from j + 1 on, which come first."""
+def _structure(names: Optional[Sequence[str]],
+               sizes: Sequence[int]) -> FiniteStructure:
+    """A family's structure, or its M', from sizes: with ``names`` None,
+    the classes of ``E`` of the given sizes, laid out one after another;
+    else bands of elements of the given sizes, the deepest first, with
+    predicate ``names[j]`` holding on the bands from j + 1 on, which come
+    first (M' has only the predicates phi reads)."""
+    ends = list(accumulate(sizes, initial=0))
     if names is None:
-        return _equiv_structure(shape)
-    kept = [0] * (len(names) + 1)
-    for j, size in shape:
-        kept[j] = size
-    ends = list(accumulate(kept[:0:-1]))[::-1]
-    return _pred_structure(
-        make_signature(["S"], relations=[(name, ("S",)) for name in names]),
-        sum(kept), dict(zip(names, ends)))
+        return FiniteStructure(
+            signature=_EQUIV_SIGNATURE, sizes={"S": ends[-1]},
+            relations={"E": frozenset(chain.from_iterable(
+                product(range(start, start + s), repeat=2)
+                for start, s in zip(ends, sizes)))},
+            functions={}, constants={})
+    return FiniteStructure(
+        signature=make_signature(
+            ["S"], relations=[(name, ("S",)) for name in names]),
+        sizes={"S": ends[-1]},
+        relations={name: frozenset((e,) for e in range(end))
+                   for name, end in zip(names, ends[-2:0:-1])},
+        functions={}, constants={})
 
 
 def _choices(cells, spare, elems):
@@ -601,10 +578,9 @@ def _block_count(summary, phi, params: Dict[str, ElemRef],
     _, counted, k, r, depths, kept, names, models = plan
     if names is None:
         shape, fixed, state = _equiv_model(summary, params, kept, r, k)
-        elements = sum(shape)
     else:
         shape, fixed, state = _pred_model(summary, params, kept, r, names)
-        elements = sum([m for _, m in shape])
+    elements = sum(shape)
     steps = 1 + sum([elements ** d for d in depths]) if depths else 1
     if budget is None:    # PFDIM_BUDGET, read once per request
         budget = memo.get("budget")
@@ -626,7 +602,7 @@ def _block_count(summary, phi, params: Dict[str, ElemRef],
     entry = models.get((shape, fixed))
     if entry is None:
         if ("structure", names, shape) not in memo:
-            memo["structure", names, shape] = _small_structure(names, shape)
+            memo["structure", names, shape] = _structure(names, shape)
         # the counted variables are slots too, set to each leaf in turn
         test, env, _ = compile_formula(
             phi, memo["structure", names, shape],
@@ -752,16 +728,13 @@ class FamilyAt:
         class, and swap any two classes of equal size.  So one class per
         run of the summary (one per distinct size, except the two runs of
         size 1 of rank2classes at index 1) is counted by ``count``, the
-        first of the run, at its first element; a formula without ``y`` is
-        counted once.
+        first of the run, at its first element.
         """
         (phi, _), = self.conjunctions([(phi_text, None)])
         if self.family.family_id not in _EQUIV_FAMILIES:
             raise FamilyError(
                 "spectrum supported for equivalence families only")
         self.check_one_counted(phi, {"y": None})
-        if "y" not in _facts(phi, self.memo)[1]:  # one count for every b
-            return [self.count(phi, {}).log_value]
         s = self.summary    # each run's first class, at its first element
         return sorted({self.count(phi, {"y": ElemRef(ci, 0, start)}).log_value
                        for _, ci, start in zip(s.sizes, s._first, s._starts)})

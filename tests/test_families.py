@@ -1,14 +1,15 @@
 """Structure families: generation, summaries, counting on the small
 model."""
 
+import hashlib
 import itertools
 import math
 
 import pytest
 
 from pfdim.counting import count
-from pfdim.families import (FamilyAt, FamilyError, _block_count,
-                            count_family, family_signature,
+from pfdim.families import (FamilyAt, FamilyError, FamilyHandle,
+                            _block_count, count_family, family_signature,
                             family_summary, generate, get_family,
                             list_families, make_homocyclic,
                             make_vector_space)
@@ -29,6 +30,10 @@ class TestCatalog:
     def test_unknown_family(self):
         with pytest.raises(FamilyError):
             get_family("nosuchfamily")
+
+    def test_a_handle_refuses_an_unknown_id(self):
+        with pytest.raises(FamilyError, match="unknown familyId 'nosuch'"):
+            FamilyHandle("nosuch")
 
     def test_every_listed_family_and_no_other_is_known(self):
         assert sorted(list_families()) == sorted(FAMILY_IDS)
@@ -124,6 +129,22 @@ class TestGenerateMatchesSummary:
         assert p3 <= p2 <= p1
         assert (len(p1), len(p2), len(p3)) == (9, 3, 1)
 
+    def test_convsupersimple_layout(self):
+        # the deepest level first: each predicate on an initial segment
+        M = generate("convsupersimple", 3)
+        assert M.relations["P1"] == frozenset((e,) for e in range(9))
+        assert M.relations["P3"] == frozenset({(0,)})
+
+    def test_every_family_writes_the_same_bytes(self):
+        # `family --out`'s text, a newline after each, every family in
+        # sorted order at indices 1, 2 and 3
+        digest = hashlib.sha256()
+        for fid in sorted(list_families()):
+            for n in (1, 2, 3):
+                digest.update((generate(fid, n).to_json() + "\n").encode())
+        assert digest.hexdigest() == ("ab9ea1c3074bb39aa8774f7946bbe328"
+                                      "4fc16a001a8621cf17e67e1e0d232c1b")
+
 
 class TestAggregateCounting:
     @pytest.mark.parametrize("fid,formula,selector", [
@@ -181,6 +202,11 @@ class TestSpectrum:
         assert len(logs) == 4
         expected = sorted(math.log(4 ** i) for i in range(1, 5))
         assert logs == pytest.approx(expected)
+
+    def test_a_formula_without_y_has_one_log_count(self):
+        # counted at each run's first class, alike at every one
+        at = FamilyAt(get_family("findelta"), 4)
+        assert at.spectrum("E(x, x)") == [math.log(4 * (4 + 16 + 64 + 256))]
 
 
 class TestAlgebraicStructures:

@@ -270,20 +270,29 @@ class TestWordLimits:
         want = word_image(parse_word("x*x*x"), builtin_group("S3"))
         assert json.loads(out)["image"] == sorted(want)
 
-    @pytest.mark.parametrize("group,word", [
-        ("C1024", "*".join(["x"] * 100_000)),
-        ("PSL(2,7)", "*".join(["x*y*z"] * 3000))],
+    @pytest.mark.parametrize("group,word,entries", [
+        ("C1024", "*".join(["x"] * 100_000), 102_398_976),
+        ("PSL(2,7)", "*".join(["x*y*z"] * 3000), 42_669_946_368)],
         ids=["x^100000 on C1024", "(x*y*z)^3000 on PSL(2,7)"])
-    def test_work_past_the_budget_is_refused(self, capsys, group, word):
+    def test_work_past_the_budget_is_refused(self, capsys, monkeypatch,
+                                             group, word, entries):
         # |G|^d is within the budget, the table entries the subwords take
-        # (10^5 * 1024; 168^2 rows of about 9000 subwords) are not
-        start = time.perf_counter()
+        # (10^5 * 1024; 168^2 rows of about 9000 subwords) are not.  The
+        # refusal is pinned by the work done, not by the clock: nothing of
+        # G^(d-1) is enumerated before it (the group is built first, since
+        # building PSL(2,7) takes products too)
+        builtin_group(group)
+
+        def enumerated(*args, **kwargs):
+            raise AssertionError("G^(d-1) enumerated before the refusal")
+
+        monkeypatch.setattr(groups, "product", enumerated)
         code, out, err = run(capsys, "word-image", "--group", group,
                              "--word", word)
-        assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert err.startswith("error: word image enumeration computes ")
         assert err.endswith(" table entries, which exceeds budget\n")
+        assert f" computes {entries} table entries" in err
 
     @pytest.mark.parametrize("budget,code", [(11, 1), (12, 0)])
     def test_the_budget_counts_table_entries(self, capsys, budget, code):
