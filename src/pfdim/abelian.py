@@ -101,13 +101,12 @@ def _normalize_atom(atom: StandardAtom, p: int) -> Optional[StandardAtom]:
 
 
 def _substitute(atom: StandardAtom, params: Sequence[Tuple[int, ...]],
-                m: int, var: int) -> Tuple[int, Tuple[int, ...]]:
-    """Collapse the term to k*x_var + c with c an m-tuple, treating every
-    counted variable other than ``var`` as absent (coefficient must be 0)."""
-    for i, a in enumerate(atom.term.x_coeffs):
-        if i != var and a != 0:
-            raise AbelianError("atom touches a second counted variable")
-    k = atom.term.x_coeffs[var] if var < atom.term.r else 0
+                m: int) -> Tuple[int, Tuple[int, ...]]:
+    """Collapse the term to k*x_1 + c with c an m-tuple, treating every
+    other counted variable as absent (coefficient must be 0)."""
+    if any(atom.term.x_coeffs[1:]):
+        raise AbelianError("atom touches a second counted variable")
+    k = atom.term.x_coeffs[0] if atom.term.r else 0
     if len(params) != atom.term.s:
         raise AbelianError("parameter count does not match the term")
     c = [0] * m
@@ -155,13 +154,13 @@ def _merge(cur: Tuple[int, Tuple[int, ...]],
     return (e1, s1)
 
 
-def _negation_meets(pos, neg, params, p: int, n: int, m: int, var: int):
+def _negation_meets(pos, neg, params, p: int, n: int, m: int):
     """``_nonempty_meets`` over the negated atoms' solutions from the merged
     positive system: each solvable ``pos + neg[S]`` as ``(S, (e, s))``.
     Each atom is solved once, in order; none of ``neg`` when ``pos`` alone
     is unsolvable."""
     def solve(atom):
-        return _atom_constraint(atom, *_substitute(atom, params, m, var), p, n)
+        return _atom_constraint(atom, *_substitute(atom, params, m), p, n)
 
     base = (0, (0,) * m)
     for atom in pos:
@@ -211,7 +210,7 @@ def exact_count(atoms: Sequence[StandardAtom],
     if len(neg) > NEGATION_CAP:
         raise AbelianError(f"more than {NEGATION_CAP} negated atoms")
     return Count(sum((-1) ** len(sub) * p ** ((n - e) * m) for sub, (e, _)
-                     in _negation_meets(pos, neg, params, p, n, m, 0)))
+                     in _negation_meets(pos, neg, params, p, n, m)))
 
 
 def brute_count(atoms: Sequence[StandardAtom],
@@ -320,8 +319,8 @@ def derived_bound(atoms: Sequence[StandardAtom], p: int) -> int:
     return d
 
 
-def _generic_exponent(atoms: Sequence[StandardAtom], p: int,
-                      var: int) -> Tuple[int, int]:
+def _generic_exponent(atoms: Sequence[StandardAtom],
+                      p: int) -> Tuple[int, int]:
     """Count of the (assumed nonempty) positive system in the generic
     regime n > D, as the monomial X^(u(i*v + j)) -> returns (i, j).
 
@@ -332,7 +331,7 @@ def _generic_exponent(atoms: Sequence[StandardAtom], p: int,
     eq_j = None
     div_e = 0
     for atom in atoms:
-        k = atom.term.x_coeffs[var] if var < atom.term.r else 0
+        k = atom.term.x_coeffs[0] if atom.term.r else 0
         if k == 0:
             continue  # pure parameter condition
         j = _vp(k, p, 10 ** 9)
@@ -346,14 +345,14 @@ def _generic_exponent(atoms: Sequence[StandardAtom], p: int,
 
 
 def _concrete_exponent(atoms: Sequence[StandardAtom], p: int, n: int,
-                       var: int, d: int) -> Tuple[int, int]:
+                       d: int) -> Tuple[int, int]:
     """Same, at concrete n: the merged congruence modulus e gives count
     p^(u(n-e)).  Emitted as (1, -e) when e fits the index range, otherwise
     as the constant-exponent monomial (0, n-e); divisibility atoms keep
     e <= d and equations force e >= n-d, so one of the two always fits."""
     e = 0
     for atom in atoms:
-        k = atom.term.x_coeffs[var] if var < atom.term.r else 0
+        k = atom.term.x_coeffs[0] if atom.term.r else 0
         l_eff = n if atom.kind == "eq" else min(atom.level, n)
         j = _vp(k % (p ** l_eff) if l_eff else 0, p, l_eff)
         e = max(e, l_eff - j)
@@ -362,12 +361,12 @@ def _concrete_exponent(atoms: Sequence[StandardAtom], p: int, n: int,
     return (0, n - e)
 
 
-def _solvability_pattern(pos, neg, params, p, n, m, var) -> int:
+def _solvability_pattern(pos, neg, params, p, n, m) -> int:
     """The negation subsets whose system is solvable, as a bitmask over
     ``_subsets(len(neg))``."""
     position = {s: b for b, s in enumerate(_subsets(len(neg)))}
     mask = 0
-    for sub, _ in _negation_meets(pos, neg, params, p, n, m, var):
+    for sub, _ in _negation_meets(pos, neg, params, p, n, m):
         mask |= 1 << position[frozenset(sub)]
     return mask
 
@@ -413,8 +412,8 @@ def _catalog_input(atoms: Sequence[StandardAtom], p: int):
     return pos, neg, _downward_closed_masks(len(neg))
 
 
-def _symbolic_one_var(pos, neg, masks: List[int], p: int, d: int,
-                      var: int = 0) -> List[GuardedPoly]:
+def _symbolic_one_var(pos, neg, masks: List[int], p: int,
+                      d: int) -> List[GuardedPoly]:
     t = len(neg)
     D = 2 * d + 2
     regimes: List[Tuple[str, Optional[int]]] = (
@@ -435,7 +434,7 @@ def _symbolic_one_var(pos, neg, masks: List[int], p: int, d: int,
     def actual(n, m, params) -> int:
         key = (n, m, tuple(map(tuple, params)))
         if key not in solvable:
-            solvable[key] = _solvability_pattern(pos, neg, params, p, n, m, var)
+            solvable[key] = _solvability_pattern(pos, neg, params, p, n, m)
         return solvable[key]
 
     cases = []
@@ -449,9 +448,9 @@ def _symbolic_one_var(pos, neg, masks: List[int], p: int, d: int,
         for b, sub in enumerate(subsets):
             system = list(pos) + [neg[i] for i in sub]
             if n0 is None:
-                ij = _generic_exponent(system, p, var)
+                ij = _generic_exponent(system, p)
             else:
-                ij = _concrete_exponent(system, p, n0, var, d)
+                ij = _concrete_exponent(system, p, n0, d)
             parity.setdefault(ij, [0, 0])[len(sub) & 1] |= 1 << b
         monomials = list(parity)
         columns = [[(mask & even).bit_count() - (mask & odd).bit_count()

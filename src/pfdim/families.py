@@ -15,16 +15,12 @@ structure M' that the formula cannot tell from the family's structure
 (an r-round Ehrenfeucht-Fraisse argument): each class holding a parameter
 cut to its parameters plus r elements, and at most r classes of each size
 cut to r (each band of levels the formula's predicates cannot tell apart,
-on ``convsupersimple``).  The count sums, over the types of the counted
-tuple (each variable equal to an earlier element, fresh in a class already
-touched, or first in an untouched class of some size), the exact number of
-tuples of that type times the formula's truth at the type's representative
-in M', which the engine's compiled evaluator (``counting.compile_formula``)
-decides.  For a quantifier-free formula in one variable, M' is the old
-blocks: the parameters, one more element of each parameter's class, and
-one element for all the other classes.
-The budget (``PFDIM_BUDGET`` unless given) bounds the type leaves times
-one plus the quantifier-loop visits per evaluation.
+on ``convsupersimple``).  It walks the types of the counted tuple on M'
+once, with no weights; the engine's compiled evaluator
+(``counting.compile_formula``) decides each type; and each true type is
+weighed by its number of tuples in the family's structure, from power sums
+over the class sizes.  The budget (``PFDIM_BUDGET`` unless given) bounds
+the types times one plus the quantifier-loop visits per evaluation.
 
 Every formula text is parsed by ``FamilyAt.conjunctions``, and every count
 sequence loops over its indices in ``family_sequence`` (``count_family``
@@ -33,16 +29,19 @@ sequences are one) share one memo, which keeps each index's summary and
 signature; the parsed steps (a parse stands at every index whose signature
 resolves the texts' names alike); per formula and parameter names a plan
 (counted variables, k, r, binder depths); M' per shape; and per plan and
-shape the compiled formula and its truth at each type.  The shape stops
-depending on n once every class size exceeds r.  A spectrum is one count
-per class size, and the sizes whose M' has one shape share its truths.
+small model (its shape and the parameters' elements) the number of types
+and the patterns of the true ones.  The small model stops depending on n
+once every class size exceeds r, so a spectrum's class sizes, and a
+request's larger indices, share one walk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
+from math import factorial, perm, prod
 from operator import mul, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -317,20 +316,24 @@ def generate(family_id: str, index: int) -> FiniteStructure:
 # (the b-round Ehrenfeucht-Fraisse game; levels of nested predicates act
 # like classes that are told apart by name).  So with r = k + b the small
 # model M' below gives phi the same truth at a tuple as M does at any tuple
-# of the same *type*, the parameters marked throughout.  A type says, for
-# each counted variable in turn, that it is
+# of the same *type*, the parameters marked throughout.  The classes come
+# in *groups*: each class holding a parameter, and each band of levels, is
+# a group of one class; the other classes group by their size cut to r.  A
+# type of M' says, for each counted variable in turn, that it is
 #
-# * equal to an earlier element (weight 1),
-# * a fresh element of a class already touched (weight: its size less the
-#   elements already used), or
-# * the first element of an untouched class of size s (weight: s times the
-#   untouched classes of size s left),
+# * an element already named (a parameter's or an earlier variable's),
+# * the next fresh element of a class already touched, or
+# * the first element of an untouched class of some group,
 #
-# and the product of the weights is the number of tuples of M of that type.
-# The count is the sum over the types, of exact integers, of that product
-# times phi's truth at the type's representative in M'.  The last counted
-# variable's untouched classes are taken together per size in M', since no
-# later weight depends on them.
+# so the types depend on k, r and the groups, never on n.  A type's
+# *pattern* is, per group touched, the fresh elements u_1, ..., u_m it uses
+# in each of the group's classes it touches.  Its tuples in M number the
+# product, over those groups, of the group's *weight*: the sum, over ordered
+# distinct classes c_1, ..., c_m of the group in M, of the products of the
+# falling factorials (elements left in c_i)_(u_i).  Moebius inversion over
+# the set partitions of the m slots (Rota 1964; Stanley, EC I, 3.7) turns
+# that sum into power sums over the group's runs, with no branching on the
+# sizes.  The count is the sum of the weights of the types true in M'.
 
 
 def _facts(phi, memo: dict) -> tuple:
@@ -362,85 +365,73 @@ def _facts(phi, memo: dict) -> tuple:
 
 
 def _equiv_model(summary: EquivSummary, params: Dict[str, ElemRef],
-                 kept: Sequence[str], r: int, k: int):
-    """The small model of an equivalence family for ``k`` counted
-    variables and the parameters ``kept`` as ``(sizes, fixed, (cells,
-    spare, elements))``: the sizes of the classes of M' in layout order;
-    each parameter's element in M'; for each class holding a parameter,
-    ``(first element, actual size, elements used)``; for each size t the
-    other classes are cut to, ``(first elements of its classes in M',
-    {actual size: untouched classes}, untouched classes, their
-    elements)``, the dict only when k > 1, since only a variable before
-    the last reads it (so the runs at or above r are not visited when
-    k <= 1); and the parameters' distinct elements in M'."""
+                 kept: Sequence[str], r: int):
+    """The small model of an equivalence family for the parameters
+    ``kept`` as ``(sizes, fixed, (groups, elements))``: the sizes of the
+    classes of M' in layout order; each parameter's element in M'; the
+    groups, the classes holding a parameter first, then the other classes
+    by their size cut to t <= r, t increasing; and the parameters'
+    distinct elements in M'.  A group is ``(firsts, cap, sizes, mults, lo,
+    hi, out, left)``: the first fresh element in M' of each of its classes,
+    the fresh elements each has in M', and its weight source (``_weight``):
+    its classes in M are the runs ``lo`` to ``hi`` of ``sizes``/``mults``
+    less the classes of the sizes ``out``, with ``left`` fresh elements in
+    all."""
     held: Dict[int, list] = {}    # class -> its parameters' offsets
     for v in kept:
         ref = params[v]
         offs = held.setdefault(ref.class_index, [])
         if ref.offset not in offs:
             offs.append(ref.offset)
-    first, runs, mults = summary._first, summary.sizes, summary.mults
-    # the classes grouped by their size cut to r, t increasing
-    groups: Dict[int, Tuple[Optional[Dict[int, int]], int, int]] = {}
-    classes, elements = first[-1], summary.total
+    first, starts, runs = summary._first, summary._starts, summary.sizes
+    cut: Dict[int, Tuple[int, int, list]] = {}   # t -> lo, hi, out
     j = 0
     while j < len(runs) and runs[j] < r:
-        s, m = runs[j], mults[j]
-        _, c, e = groups.get(s, (None, 0, 0))
-        groups[s] = {s: c + m}, c + m, e + s * m
-        classes -= m
-        elements -= s * m
-        j += 1
-    if classes:
-        rest: Optional[Dict[int, int]] = None
-        if k > 1:
-            rest = {}
-            for s, m in zip(runs[j:], mults[j:]):
-                rest[s] = rest.get(s, 0) + m
-        groups[r] = rest, classes, elements
-    sizes, cells, elems, fixed = [], [], [], []
+        hi = bisect_right(runs, runs[j], j)
+        cut[runs[j]] = j, hi, []
+        j = hi
+    if j < len(runs):
+        cut[r] = j, len(runs), []
+    sizes, groups, elems, fixed = [], [], [], []
     start = 0
     for ci in sorted(held) if len(held) > 1 else held:
         size = runs[bisect_right(first, ci) - 1]
-        t = size if size < r else r
-        counts, classes, elements = groups[t]
-        if k > 1:
-            counts = {**counts, size: counts[size] - 1}
-        groups[t] = counts, classes - 1, elements - size
+        cut[size if size < r else r][2].append(size)
         offs = held[ci]
         used = len(offs)
         held[ci] = start, offs
-        cells.append((start, size, used))
         elems += range(start, start + used)
-        used += r
-        sizes.append(size if size < used else used)
+        sizes.append(size if size < used + r else used + r)
+        groups.append(((start + used,), sizes[-1] - used, (size - used,),
+                       (1,), 0, 1, (), size - used))
         start += sizes[-1]
-    spare = []
-    for t, (counts, classes, elements) in groups.items():
+    for t, (lo, hi, out) in cut.items():
+        classes = first[hi] - first[lo] - len(out)
         n = classes if classes < r else r
         if n:
-            spare.append((range(start, start + n * t, t), counts, classes,
-                          elements))
+            groups.append((range(start, start + n * t, t), t, runs,
+                           summary.mults, lo, hi, out,
+                           starts[hi] - starts[lo] - sum(out)))
             sizes += [t] * n
             start += n * t
     for v in kept:
         ref = params[v]
         begin, offs = held[ref.class_index]
         fixed.append(begin + offs.index(ref.offset))
-    return tuple(sizes), tuple(fixed), (cells, spare, elems)
+    return tuple(sizes), tuple(fixed), (groups, elems)
 
 
 def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
                 kept: Sequence[str], r: int, names: Sequence[str]):
     """The small model of a nested-predicate family as ``(bands, fixed,
-    (cells, (), elements))``.  Levels that the predicates ``names``
+    (groups, elements))``.  Levels that the predicates ``names``
     (``P<k>``, k increasing) do not tell apart form one band: band j holds
     the elements in the j-th named predicate (every element for j = 0)
     but not the next.  ``bands`` has each band's elements in M', the
     deepest first as ``generate`` lays out the levels, 0 for an empty
-    band; ``fixed`` has each parameter's element in M', ``cells`` ``(first
-    element, actual size, elements used)`` for each band, and
-    ``elements`` the parameters' distinct elements in M'."""
+    band; ``fixed`` has each parameter's element in M', ``groups`` one
+    group of one class per band (as ``_equiv_model``'s), and ``elements``
+    the parameters' distinct elements in M'."""
     bounds = ([summary.total]
               + [summary.pred_sizes[int(name[1:]) - 1] for name in names]
               + [0])
@@ -450,8 +441,7 @@ def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
         same = ids.setdefault(sum(1 for b in bounds[1:] if g < b), [])
         if g not in same:
             same.append(g)
-    bands = []
-    cells = []
+    bands, groups = [], []
     where: Dict[int, int] = {}
     start = 0
     for j in range(len(bounds) - 2, -1, -1):
@@ -459,11 +449,13 @@ def _pred_model(summary: NestedPredSummary, params: Dict[str, ElemRef],
         here = sorted(ids.get(j, ()))
         for i, g in enumerate(here):
             where[g] = start + i
-        cells.append((start, size, len(here)))
-        bands.append(min(size, len(here) + r))
+        used = len(here)
+        bands.append(min(size, used + r))
+        groups.append(((start + used,), bands[-1] - used, (size - used,),
+                       (1,), 0, 1, (), size - used))
         start += bands[-1]
     return (tuple(bands), tuple([where[params[v].global_id] for v in kept]),
-            (cells, (), list(where.values())))
+            (groups, list(where.values())))
 
 
 def _structure(names: Optional[Sequence[str]],
@@ -490,62 +482,76 @@ def _structure(names: Optional[Sequence[str]],
         functions={}, constants={})
 
 
-def _choices(cells, spare, elems):
-    """Each way the next counted variable continues a type, but the last:
-    ``(its element in M', weight, the next (cells, spare, elems))``."""
-    for e in elems:
-        yield e, 1, (cells, spare, elems)
-    for j, (start, size, used) in enumerate(cells):
-        if used < size:
-            e = start + used
-            yield e, size - used, (
-                (*cells[:j], (start, size, used + 1), *cells[j + 1:]),
-                spare, (*elems, e))
-    for j, (starts, counts, classes, elements) in enumerate(spare):
-        for s, c in counts.items():
-            if c:
-                e = starts[0]
-                group = (starts[1:], {**counts, s: c - 1}, classes - 1,
-                         elements - s)
-                yield e, s * c, ((*cells, (e, s, 1)),
-                                 (*spare[:j], group, *spare[j + 1:]),
-                                 (*elems, e))
+def _types(groups, elements, k: int, most: int):
+    """``(leaf, pattern, named)`` for each type of the ``k`` counted
+    variables on M': their elements; for each group touched ``(its
+    position, the fresh elements used in each of its classes touched)``;
+    and the distinct elements named, the parameters' ``elements`` first.
+    The walk stops at the first level of more than ``most`` types."""
+    level = [((), (), tuple(elements))]
+    for _ in range(k):
+        grown = []
+        for leaf, pattern, named in level:
+            for e in named:
+                grown.append((leaf + (e,), pattern, named))
+            for p, (g, us) in enumerate(pattern):
+                firsts, cap = groups[g][0], groups[g][1]
+                rest = pattern[:p] + pattern[p + 1:]
+                for i, u in enumerate(us):
+                    if u < cap:
+                        e = firsts[i] + u
+                        grown.append((leaf + (e,), rest + (
+                            (g, (*us[:i], u + 1, *us[i + 1:])),),
+                            named + (e,)))
+                if len(us) < len(firsts):
+                    e = firsts[len(us)]
+                    grown.append((leaf + (e,), rest + ((g, us + (1,)),),
+                                  named + (e,)))
+            touched = dict(pattern)
+            for g, group in enumerate(groups):
+                if group[1] and g not in touched:
+                    e = group[0][0]
+                    grown.append((leaf + (e,), pattern + ((g, (1,)),),
+                                  named + (e,)))
+        level = grown
+        if len(level) > most:
+            break
+    return level
 
 
-def _types(state, k: int):
-    """``(elements, weight, last)`` for each type of the first ``k - 1``
-    counted variables: their elements in M', the number of their tuples
-    of that type in M, and the last variable's choices."""
-    if k == 1:
-        yield (), 1, _leaves(state, 1)
-        return
-    for e, weight, after in _choices(*state):
-        for reps, more, last in _types(after, k - 1):
-            yield (e,) + reps, weight * more, last
+@lru_cache(maxsize=None)
+def _partitions(m: int) -> tuple:
+    """``(coefficient, blocks)`` for each set partition of ``range(m)``,
+    the coefficient its Moebius function from the partition into
+    singletons: the product over its blocks B of (-1)^(|B|-1) (|B|-1)!."""
+    if m == 0:
+        return ((1, ()),)
+    out = []
+    for _, blocks in _partitions(m - 1):
+        for i, block in enumerate(blocks):
+            out.append((*blocks[:i], (*block, m - 1), *blocks[i + 1:]))
+        out.append((*blocks, (m - 1,)))
+    return tuple([(prod([(-1) ** (len(b) - 1) * factorial(len(b) - 1)
+                         for b in blocks]), blocks) for blocks in out])
 
 
-def _leaves(state, k: int):
-    """``(leaf, weight)`` for each type of the ``k`` counted variables: the
-    variables' elements in M' and the number of tuples of M of that type.
-    A list when k <= 1 (for k = 0 the empty leaf, of weight 1; for k = 1
-    the untouched classes of one size in M' are one leaf), else a
-    generator."""
-    if k == 0:
-        return [((), 1)]
-    if k == 1:
-        cells, spare, elems = state
-        out = []
-        for e in elems:
-            out.append(((e,), 1))
-        for start, size, used in cells:
-            if used < size:
-                out.append(((start + used,), size - used))
-        for starts, _, _, elements in spare:
-            if elements:
-                out.append(((starts[0],), elements))
-        return out
-    return ((reps + e, weight * w)
-            for reps, weight, last in _types(state, k) for e, w in last)
+def _weight(group, us: Tuple[int, ...]) -> int:
+    """The tuples of M that use ``us[i]`` fresh elements of the i-th class
+    of ``group`` they touch: the sum, over ordered distinct classes of the
+    group, of the products of ``perm(elements left, us[i])``, by Moebius
+    inversion, each block a power sum over the group's runs, the classes
+    ``out`` taken out as runs of multiplicity -1."""
+    _, _, sizes, mults, lo, hi, out, left = group
+    if us == (1,):
+        return left
+    runs = [*zip(sizes[lo:hi], mults[lo:hi]), *zip(out, repeat(-1))]
+    total = 0
+    for coefficient, blocks in _partitions(len(us)):
+        for block in blocks:
+            coefficient *= sum([m * prod([perm(s, us[i]) for i in block])
+                                for s, m in runs])
+        total += coefficient
+    return total
 
 
 def _block_count(summary, phi, params: Dict[str, ElemRef],
@@ -561,9 +567,8 @@ def _block_count(summary, phi, params: Dict[str, ElemRef],
     keeps M' per shape, and per formula and parameter names a plan: the
     counted variables, k, r, binder depths, the parameters free in phi,
     the relation names of M' (None for classes of ``E``), and per shape
-    and parameter slots the compiled formula and its truth at each type,
-    so counts whose M' has one shape (a spectrum's class sizes, once
-    every size exceeds r) evaluate each type once."""
+    and parameter slots the number of types and the patterns of the true
+    ones, which every count with that model weighs again."""
     memo = {} if memo is None else memo
     key = ("plan", id(phi), *params)
     plan = memo.get(key)
@@ -576,30 +581,22 @@ def _block_count(summary, phi, params: Dict[str, ElemRef],
                             len(counted) + max(depths, default=0), depths,
                             tuple([v for v in params if v in free]), names, {})
     _, counted, k, r, depths, kept, names, models = plan
-    if names is None:
-        shape, fixed, state = _equiv_model(summary, params, kept, r, k)
-    else:
-        shape, fixed, state = _pred_model(summary, params, kept, r, names)
+    shape, fixed, (groups, named) = (
+        _equiv_model(summary, params, kept, r) if names is None else
+        _pred_model(summary, params, kept, r, names))
     elements = sum(shape)
     steps = 1 + sum([elements ** d for d in depths]) if depths else 1
     if budget is None:    # PFDIM_BUDGET, read once per request
         budget = memo.get("budget")
         if budget is None:
             budget = memo["budget"] = get_budget()
-    typed = _leaves(state, k)
-    if k > 1:
-        leaves = 0
-        for _, _, last in _types(state, k):
-            leaves += len(last)
-            if leaves * steps > budget:
-                break
-    else:
-        leaves = len(typed)
+    entry = models.get((shape, fixed))
+    typed = _types(groups, named, k, budget // steps) if entry is None else ()
+    leaves = len(typed) if entry is None else entry[0]
     if leaves * steps > budget:
         raise FamilyError(
             f"count could take at least {leaves * steps} steps, type "
             f"leaves times quantifier visits (budget exceeded)")
-    entry = models.get((shape, fixed))
     if entry is None:
         if ("structure", names, shape) not in memo:
             memo["structure", names, shape] = _structure(names, shape)
@@ -607,17 +604,21 @@ def _block_count(summary, phi, params: Dict[str, ElemRef],
         test, env, _ = compile_formula(
             phi, memo["structure", names, shape],
             {**dict(zip(kept, fixed)), **dict.fromkeys(counted, 0)})
-        entry = models[shape, fixed] = (test, env, {})
-    test, env, truths = entry
-    first = len(fixed)
+        true = []
+        for leaf, pattern, _ in typed:
+            env[len(fixed):len(fixed) + k] = leaf
+            if test(env):
+                true.append(pattern)
+        entry = models[shape, fixed] = leaves, true
+    weights: Dict[tuple, int] = {}    # one per group and pattern in it
     total = 0
-    for leaf, weight in typed:
-        truth = truths.get(leaf)
-        if truth is None:
-            env[first:first + k] = leaf
-            truth = truths[leaf] = test(env)
-        if truth:
-            total += weight
+    for pattern in entry[1]:
+        term = 1
+        for part in pattern:
+            if part not in weights:
+                weights[part] = _weight(groups[part[0]], part[1])
+            term *= weights[part]
+        total += term
     return Count(total)
 
 

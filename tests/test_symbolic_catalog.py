@@ -42,9 +42,9 @@ def reference_catalog(atoms, p, d):
             for sub in pattern:
                 system = list(pos) + [neg[i] for i in sub]
                 if n0 is None:
-                    i, j = abelian._generic_exponent(system, p, 0)
+                    i, j = abelian._generic_exponent(system, p)
                 else:
-                    i, j = abelian._concrete_exponent(system, p, n0, 0, d)
+                    i, j = abelian._concrete_exponent(system, p, n0, d)
                 coeffs[(i, j)] = coeffs.get((i, j), 0) + (-1) ** len(sub)
             desc = (f"{regime_desc}; solvable negation-subsets: "
                     + ("{" + ", ".join(sorted(
